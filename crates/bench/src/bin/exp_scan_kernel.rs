@@ -12,10 +12,20 @@
 //!    re-derives both popcounts on every call.
 //! 2. `unrolled`: the 4-accumulator `and_count` slice kernel over arena
 //!    rows, with popcounts read from the arena's side array.
-//! 3. `batched`: the multi-probe arena walk the real query engine uses —
-//!    each 4-row block is loaded once and scored against the whole query
-//!    batch with `and_count4`, so arena words are read once per batch
-//!    instead of once per query.
+//! 3. `batched`: the multi-probe arena walk — each 4-row block is
+//!    loaded once and scored against the whole query batch in one
+//!    `score_block` call at admission count 0 (every row counted in
+//!    full), so arena words are read once per batch instead of once per
+//!    query.
+//! 4. `bounded` (1000 bits only): the exact top-k scan the query engine
+//!    runs, `IndexReader::top_k_batch` on a 32-probe batch at
+//!    `min_score 0.8`, and `bounded:top10`, a single top-10 probe. The
+//!    probes are population members with 50 bits flipped, so every one
+//!    has true hits. Both are checked hit-for-hit against a brute-force
+//!    ranking of the full scores before timing. The reader's row
+//!    counters then show where the saving comes from: pairs pruned by
+//!    the popcount window, rejected by the prefix bound, and scored in
+//!    full.
 //!
 //! Two further measurements ride along:
 //!
@@ -39,11 +49,13 @@ use pprl_core::bitvec::BitVec;
 use pprl_core::rng::SplitMix64;
 use pprl_index::arena::FilterArena;
 use pprl_index::manifest::{segment_path, Manifest};
+use pprl_index::query::{Hit, IndexReader};
 use pprl_index::segment::{encode_segment, read_segment};
-use pprl_index::store::{IndexConfig, IndexStore};
+use pprl_index::store::{IndexConfig, IndexStore, ReadStats};
 use pprl_similarity::bitvec_sim::dice_bits;
 use pprl_similarity::kernel::{
-    and_count, and_count4, available_kernels, cpu_features, dice_from_counts, kernel_name, Kernel,
+    active_kernel, and_count, available_kernels, cpu_features, dice_from_counts, kernel_name,
+    BlockHits, BlockProbe, Kernel,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,13 +143,19 @@ fn batched_walk(arena: &FilterArena, queries: &[BitVec], kernel: Kernel) -> u64 
         .iter()
         .map(|q| (q.as_words(), q.count_ones()))
         .collect();
+    let probes: Vec<BlockProbe> = qmeta
+        .iter()
+        .map(|&(qw, _)| BlockProbe::new(qw, 0))
+        .collect();
+    let mut hits = vec![BlockHits::default(); probes.len()];
     let full = arena.len() / 4 * 4;
     let mut i = 0;
     while i < full {
         let block = &arena.words()[i * stride..(i + 4) * stride];
-        for (qi, &(qw, q)) in qmeta.iter().enumerate() {
-            let counts = kernel.and_count4(qw, block);
-            for (lane, &inter) in counts.iter().enumerate() {
+        kernel.score_block(block, &probes, &mut hits);
+        for (qi, (&(_, q), h)) in qmeta.iter().zip(&hits).enumerate() {
+            for (lane, &inter) in h.counts.iter().enumerate() {
+                let inter = inter as usize;
                 let score = dice_from_counts(inter, q, arena.popcount(i + lane) as usize);
                 per_query[qi] = fold(per_query[qi], inter, score);
             }
@@ -154,6 +172,151 @@ fn batched_walk(arena: &FilterArena, queries: &[BitVec], kernel: Kernel) -> u64 
     per_query.into_iter().fold(0u64, |acc, s| {
         acc.wrapping_mul(0x1_0000_01B3).wrapping_add(s)
     })
+}
+
+/// Exact top-k by brute force: every record scored with `dice_bits`,
+/// hits below `min_score` dropped, ranked by score then id.
+fn brute_top_k(records: &[(u64, BitVec)], probe: &BitVec, k: usize, min_score: f64) -> Vec<Hit> {
+    let mut hits: Vec<Hit> = records
+        .iter()
+        .map(|(id, f)| Hit {
+            id: *id,
+            score: dice_bits(probe, f).expect("dice"),
+        })
+        .filter(|h| h.score >= min_score)
+        .collect();
+    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+    hits.truncate(k);
+    hits
+}
+
+fn fold_hits(hits: &[Vec<Hit>]) -> u64 {
+    hits.iter()
+        .flatten()
+        .fold(0, |acc, h| fold(acc, h.id as usize, h.score))
+}
+
+/// Row counters as JSON, and one line of the printed breakdown.
+fn row_counters(label: &str, stats: &ReadStats) -> Json {
+    let total = (stats.rows_window_pruned + stats.rows_prefix_rejected + stats.rows_scored) as f64;
+    let share = |n: u64| 100.0 * n as f64 / total.max(1.0);
+    println!(
+        "  {label:<14} {:>7.3}% window-pruned  {:>7.3}% prefix-rejected  {:>7.3}% scored in full",
+        share(stats.rows_window_pruned),
+        share(stats.rows_prefix_rejected),
+        share(stats.rows_scored)
+    );
+    Json::Obj(vec![
+        (
+            "window_pruned".into(),
+            Json::num(stats.rows_window_pruned as f64),
+        ),
+        (
+            "prefix_rejected".into(),
+            Json::num(stats.rows_prefix_rejected as f64),
+        ),
+        ("scored".into(), Json::num(stats.rows_scored as f64)),
+    ])
+}
+
+/// The `bounded` rows: the query engine's exact scan on a 4-shard
+/// reader over `records`, for a 32-probe batch at `min_score 0.8` and a
+/// single top-10 probe. The probes are population members with 50 bits
+/// flipped. Both answers are checked against [`brute_top_k`] before
+/// timing. Returns the timed rows and the row counters of one pass.
+fn measure_bounded(
+    records: &[(u64, BitVec)],
+    rng: &mut SplitMix64,
+    reps: usize,
+) -> (Vec<(String, f64, f64)>, Json) {
+    const PROBES: usize = 32;
+    const K: usize = 10;
+    const MIN_SCORE: f64 = 0.8;
+    let bits = records[0].1.len();
+    let probes: Vec<BitVec> = (0..PROBES)
+        .map(|_| {
+            let (_, f) = &records[rng.next_below(records.len() as u64) as usize];
+            let mut p = f.clone();
+            for pos in rng.sample_indices(bits, 50) {
+                p.flip(pos);
+            }
+            p
+        })
+        .collect();
+    let refs: Vec<&BitVec> = probes.iter().collect();
+    let reader = || {
+        let mut shards = vec![Vec::new(); 4];
+        for (i, r) in records.iter().enumerate() {
+            shards[i % 4].push(r.clone());
+        }
+        IndexReader::new(shards, bits).expect("reader")
+    };
+    let want_batch: Vec<Vec<Hit>> = probes
+        .iter()
+        .map(|p| brute_top_k(records, p, K, MIN_SCORE))
+        .collect();
+    let want_single = vec![brute_top_k(records, &probes[0], K, 0.0)];
+    assert!(
+        want_batch.iter().all(|hits| !hits.is_empty()),
+        "every near-duplicate probe has a hit at {MIN_SCORE}"
+    );
+
+    // One checked pass on a fresh reader, whose counters then hold
+    // exactly one batch and one single probe.
+    let checked = reader();
+    let got = checked
+        .top_k_batch(&refs, K, 1, Some(MIN_SCORE))
+        .expect("batch");
+    assert_eq!(got, want_batch, "bounded batch diverged from brute force");
+    let after_batch = checked.read_stats();
+    let got = vec![checked.top_k(&probes[0], K, 1).expect("top_k")];
+    assert_eq!(got, want_single, "bounded top-10 diverged from brute force");
+    let after_single = checked.read_stats();
+    let single_stats = ReadStats {
+        rows_window_pruned: after_single.rows_window_pruned - after_batch.rows_window_pruned,
+        rows_prefix_rejected: after_single.rows_prefix_rejected - after_batch.rows_prefix_rejected,
+        rows_scored: after_single.rows_scored - after_batch.rows_scored,
+        ..after_single
+    };
+    println!(
+        "Row counters of one bounded pass ({} records):",
+        records.len()
+    );
+    let counters = Json::Obj(vec![
+        ("batch".into(), row_counters("batch @0.8", &after_batch)),
+        ("top10".into(), row_counters("single top-10", &single_stats)),
+    ]);
+    println!();
+
+    let timed = reader();
+    let (batch_secs, batch_sum) = run_timed(
+        || {
+            fold_hits(
+                &timed
+                    .top_k_batch(&refs, K, 1, Some(MIN_SCORE))
+                    .expect("batch"),
+            )
+        },
+        reps,
+    );
+    assert_eq!(batch_sum, fold_hits(&want_batch), "bounded batch checksum");
+    let (single_secs, single_sum) = run_timed(
+        || fold_hits(&[timed.top_k(&probes[0], K, 1).expect("top_k")]),
+        reps,
+    );
+    assert_eq!(
+        single_sum,
+        fold_hits(&want_single),
+        "bounded top-10 checksum"
+    );
+    let n = records.len() as f64;
+    (
+        vec![
+            ("bounded".to_string(), batch_secs, n * PROBES as f64),
+            ("bounded:top10".to_string(), single_secs, n),
+        ],
+        counters,
+    )
 }
 
 /// Allocation cost of merging one store's segments, old path vs new.
@@ -274,6 +437,7 @@ fn main() {
     let mut speedup_at_1000 = 0.0f64;
     let mut scalar_batched_rows_at_1000 = 0.0f64;
     let mut dispatched_rows_at_1000 = 0.0f64;
+    let mut bounded = Json::Null;
 
     for bits in [1000usize, 2048] {
         let mut rng = SplitMix64::new(0xE19 + bits as u64);
@@ -284,7 +448,6 @@ fn main() {
             .map(|_| random_filter(bits, 0.3, &mut rng))
             .collect();
         let arena = FilterArena::from_records(records.clone(), bits).expect("arena");
-        let stride = arena.stride();
         // The arena is popcount-sorted, so pair the scalar path with the
         // same row order to make the checksums comparable.
         let ordered: Vec<(usize, BitVec)> = (0..arena.len())
@@ -333,40 +496,8 @@ fn main() {
         // batch; tail rows fall back to the unrolled kernel. Fold order
         // must match the scalar loop (query-major), so per-query
         // accumulators merge after the block walk.
-        let (batched_secs, batched_sum) = run_timed(
-            || {
-                let mut per_query = vec![0u64; queries.len()];
-                let qmeta: Vec<(&[u64], usize)> = queries
-                    .iter()
-                    .map(|q| (q.as_words(), q.count_ones()))
-                    .collect();
-                let full = arena.len() / 4 * 4;
-                let mut i = 0;
-                while i < full {
-                    let block = &arena.words()[i * stride..(i + 4) * stride];
-                    for (qi, &(qw, q)) in qmeta.iter().enumerate() {
-                        let counts = and_count4(qw, block);
-                        for (lane, &inter) in counts.iter().enumerate() {
-                            let score =
-                                dice_from_counts(inter, q, arena.popcount(i + lane) as usize);
-                            per_query[qi] = fold(per_query[qi], inter, score);
-                        }
-                    }
-                    i += 4;
-                }
-                for row in full..arena.len() {
-                    for (qi, &(qw, q)) in qmeta.iter().enumerate() {
-                        let inter = and_count(qw, arena.row(row));
-                        let score = dice_from_counts(inter, q, arena.popcount(row) as usize);
-                        per_query[qi] = fold(per_query[qi], inter, score);
-                    }
-                }
-                per_query.into_iter().fold(0u64, |acc, s| {
-                    acc.wrapping_mul(0x1_0000_01B3).wrapping_add(s)
-                })
-            },
-            reps,
-        );
+        let (batched_secs, batched_sum) =
+            run_timed(|| batched_walk(&arena, &queries, active_kernel()), reps);
         assert_eq!(
             scalar_sum, unrolled_sum,
             "unrolled kernel diverged from scalar at {bits} bits"
@@ -395,15 +526,26 @@ fn main() {
             simd_rows.push((format!("simd:{}", kernel.name()), t));
         }
 
-        for (kernel, t) in [
+        // (row name, seconds, (query, row) pairs covered)
+        let mut rows: Vec<(String, f64, f64)> = [
             ("scalar".to_string(), scalar_secs),
             ("unrolled".to_string(), unrolled_secs),
             ("batched".to_string(), batched_secs),
         ]
         .into_iter()
         .chain(simd_rows)
-        {
-            let speedup = scalar_secs / t;
+        .map(|(name, t)| (name, t, comparisons))
+        .collect();
+        if bits == 1000 {
+            let (timed, counters) = measure_bounded(&records, &mut rng, reps);
+            rows.extend(timed);
+            bounded = counters;
+        }
+
+        let scalar_rate = comparisons / scalar_secs;
+        for (kernel, t, pairs) in rows {
+            let rate = pairs / t;
+            let speedup = rate / scalar_rate;
             if bits == 1000 && kernel == "batched" {
                 speedup_at_1000 = speedup;
             }
@@ -411,13 +553,13 @@ fn main() {
                 bits.to_string(),
                 kernel.clone(),
                 secs(t),
-                format!("{:.1}", comparisons / t / 1e6),
+                format!("{:.1}", rate / 1e6),
                 format!("{speedup:.2}x"),
             ]);
             summary_rows.push(Json::Obj(vec![
                 ("bits".into(), Json::num(bits as f64)),
                 ("kernel".into(), Json::str(&kernel)),
-                ("rows_per_sec".into(), Json::Num(comparisons / t)),
+                ("rows_per_sec".into(), Json::Num(rate)),
                 ("speedup_vs_scalar".into(), Json::Num(speedup)),
             ]));
         }
@@ -429,6 +571,8 @@ fn main() {
     println!("score bits before timing was trusted. The batched walk reads each");
     println!("arena block once per query batch; the scalar path re-derives both");
     println!("popcounts per pair, which is exactly what the arena removes.");
+    println!("The bounded rows returned exactly the brute-force top-k hits;");
+    println!("their rows/s counts every (probe, record) pair the scan covered.");
     report::note(format!(
         "batched columnar kernel at 1000 bits: {speedup_at_1000:.2}x scalar throughput"
     ));
@@ -462,6 +606,7 @@ fn main() {
         ),
         ("kernel_active".into(), Json::str(kernel_name())),
         ("rows".into(), Json::Arr(summary_rows)),
+        ("bounded".into(), bounded),
         ("compaction".into(), compaction),
     ]);
     let path = report::results_dir()

@@ -8,7 +8,15 @@
 //! popcount-based Dice upper-bound reasoning as the old per-record
 //! layout, and the scan kernel walks memory strictly linearly. Row `i`'s
 //! words are `words[i * stride .. (i + 1) * stride]`; four consecutive
-//! rows form one block for the batched `and_count4` kernel.
+//! rows form one block for the block-scan kernel
+//! (`pprl_similarity::kernel::Kernel::score_block`), which scores a
+//! block against every live query in one call. Within a block it reads
+//! each row in two halves: the prefix (the first `stride / 2` words)
+//! for every row, and the suffix only for rows whose prefix count can
+//! still reach the query's admission count. Because rows ascend by
+//! popcount, a block's first popcount bounds the admission count of
+//! all four rows, and a query's popcount window is a contiguous row
+//! range.
 
 use crate::format::storage_err;
 use pprl_core::bitvec::BitVec;

@@ -8,8 +8,10 @@
 //! per-reader load lock — so segments pruned for every query of a
 //! batch are never read at all.
 //!
-//! Three pruning layers keep the scan lossless (results are bit-identical
-//! to brute force over the same `dice_bits` arithmetic):
+//! Four pruning layers keep the scan lossless (results are bit-identical
+//! to brute force over the same `dice_bits` arithmetic). Each query
+//! carries a threshold θ: its local k-th score once its accumulator is
+//! full, floored by `min_score`.
 //!
 //! 1. **Slot popcount bound** — for query popcount `q` and a slot whose
 //!    popcounts span `[pc_min, pc_max]`, no record can beat
@@ -19,24 +21,41 @@
 //!    slot's Bloom summary in every table, the Hamming distance to every
 //!    record is at least `tables`, capping Dice at
 //!    [`no_match_dice_bound`] (see [`crate::summary`]).
-//! 3. **Block popcount bound** — within an arena, every 4-row block is
-//!    checked against the scanning query's current k-th score before its
-//!    words are touched.
+//! 3. **Popcount window** — each query keeps the integer window
+//!    `[x_lo, x_hi]` of popcounts whose bound `ub` reaches θ. A 4-row
+//!    block wholly outside it is skipped before its words are touched,
+//!    and once a block's first popcount passes `x_hi` the query is done
+//!    with the rest of the (popcount-ascending) range.
+//! 4. **Prefix bound** — each query also keeps the admission count
+//!    `cmin(θ, q, x)`, the least intersection count `c` whose exact Dice
+//!    `2c/(q+x)` reaches θ. `cmin` is non-decreasing in `x` (a larger
+//!    denominator needs a larger count), so `cmin` at a block's first
+//!    popcount holds for the whole block. The kernel
+//!    ([`pprl_similarity::kernel::Kernel::score_block`]) counts the first
+//!    half of each row's words
+//!    and drops the row when `c_prefix + q_suffix < cmin`. This is sound
+//!    because the rest of the row can add at most the popcount of the
+//!    query's own suffix: `c ≤ c_prefix + q_suffix`. Survivors are
+//!    counted in full, and only rows with `c ≥ cmin` reach the f64 Dice
+//!    and the accumulator.
 //!
-//! A skip needs `bound < θ` *strictly* — candidates tying the k-th score
-//! must still be scanned because ties break by ascending id. Work fans
-//! out across `std::thread::scope` workers claiming `(slot, range)`
-//! tasks from a shared atomic counter; each worker keeps one local top-k
-//! per query (sound: a candidate below a worker's own k-th score cannot
-//! be in the global top k either) and partial results merge at the end.
+//! The window and `cmin` are recomputed in O(1) — a closed form plus an
+//! exact ±1 fix against the same f64 expressions the scores use — only
+//! when θ changes (and `cmin` also when a block's first popcount does).
+//! A skip needs `bound < θ` *strictly*, and admission is `c ≥ cmin` —
+//! candidates tying the k-th score must still be scored because ties
+//! break by ascending id.
 //!
-//! The batched entry point [`IndexReader::top_k_batch`] walks each arena
-//! block once for a whole batch of queries: a block of 4 rows is loaded
-//! and every live query runs the dispatched
-//! [`pprl_similarity::kernel::and_count4`] kernel against it (the
-//! CPU-feature path is resolved once per process; see the kernel module
-//! docs), which is what `pprl link --backend index`, the server's
-//! `Link`, and index-backed dedup call.
+//! Work fans out across `std::thread::scope` workers claiming
+//! `(slot, range)` tasks from a shared atomic counter; each worker keeps
+//! one local top-k per query (sound: a candidate below a worker's own
+//! k-th score cannot be in the global top k either) and partial results
+//! merge at the end. Single queries ([`IndexReader::top_k`]) and batches
+//! ([`IndexReader::top_k_batch`], which `pprl link --backend index`, the
+//! server's `Link`, and index-backed dedup call) run the same loop: each
+//! arena block is loaded once and scored against every live query of
+//! the batch in one dispatched kernel call (the CPU-feature path is
+//! resolved once per process; see the kernel module docs).
 
 use crate::arena::FilterArena;
 use crate::format::storage_err;
@@ -46,7 +65,7 @@ use crate::summary::{band_keys, no_match_dice_bound, BandKeySummary};
 use crate::vfs::{std_vfs, Vfs};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-use pprl_similarity::kernel::{active_kernel, dice_from_counts};
+use pprl_similarity::kernel::{active_kernel, dice_from_counts, BlockHits, BlockProbe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -132,6 +151,8 @@ pub struct IndexReader {
     bytes_read: AtomicU64,
     /// File slots materialised so far.
     segments_loaded: AtomicUsize,
+    /// Row counters of [`ReadStats`], folded in once per scan task.
+    rows: RowCounters,
     /// Serialises lazy materialisation so each file is read exactly once.
     load_lock: Mutex<()>,
     /// IO layer file-backed slots are materialised through.
@@ -217,6 +238,7 @@ impl IndexReader {
             summary_positions,
             bytes_read: AtomicU64::new(0),
             segments_loaded: AtomicUsize::new(0),
+            rows: RowCounters::default(),
             load_lock: Mutex::new(()),
             vfs,
             quarantined_segments: 0,
@@ -274,6 +296,9 @@ impl IndexReader {
             segments_read: self.segments_loaded.load(Ordering::Relaxed),
             segments_skipped,
             kernel: pprl_similarity::kernel::kernel_name(),
+            rows_window_pruned: self.rows.window_pruned.load(Ordering::Relaxed),
+            rows_prefix_rejected: self.rows.prefix_rejected.load(Ordering::Relaxed),
+            rows_scored: self.rows.scored.load(Ordering::Relaxed),
         }
     }
 
@@ -381,8 +406,8 @@ impl IndexReader {
     }
 
     /// Exact top-k for a whole batch of queries in one pass: every arena
-    /// block is loaded once and compared against all still-live queries
-    /// via the 4-row [`and_count4`] kernel. With `min_score`, hits below
+    /// block is loaded once and scored against all still-live queries
+    /// in one [`pprl_similarity::kernel::Kernel::score_block`] call. With `min_score`, hits below
     /// it are dropped from the results — equivalently (and bit-for-bit
     /// identically), the top k among hits scoring at least `min_score` —
     /// which lets slots whose upper bound cannot reach `min_score` be
@@ -427,7 +452,7 @@ impl IndexReader {
         let ctxs: Vec<QueryCtx> = queries
             .iter()
             .map(|q| QueryCtx {
-                words: q.as_words(),
+                probe: BlockProbe::new(q.as_words(), 0),
                 q: q.count_ones(),
                 keys: band_keys(q, &self.summary_positions),
             })
@@ -436,8 +461,9 @@ impl IndexReader {
         let workers = threads.max(1).min(tasks.len().max(1));
         let mut merged: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
         if workers <= 1 {
+            let mut scratch = Scratch::new(&ctxs, min_score, self.filter_len);
             for &(si, start, end) in &tasks {
-                self.scan_task(si, start, end, &ctxs, min_score, &mut merged)?;
+                self.scan_task(si, start, end, &ctxs, &mut merged, &mut scratch)?;
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -450,12 +476,13 @@ impl IndexReader {
                         scope.spawn(move || {
                             let mut locals: Vec<TopK> =
                                 (0..ctxs.len()).map(|_| TopK::new(k)).collect();
+                            let mut scratch = Scratch::new(ctxs, min_score, self.filter_len);
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(&(si, start, end)) = tasks.get(i) else {
                                     return Ok(locals);
                                 };
-                                self.scan_task(si, start, end, ctxs, min_score, &mut locals)?;
+                                self.scan_task(si, start, end, ctxs, &mut locals, &mut scratch)?;
                             }
                         })
                     })
@@ -505,101 +532,112 @@ impl IndexReader {
     }
 
     /// Scans rows `[start, end)` of slot `si` for every query whose
-    /// bounds cannot exclude the slot, pushing into the caller's
-    /// per-query accumulators. Pruned-for-all tasks return without
-    /// materialising the slot.
-    fn scan_task(
+    /// bounds cannot exclude the slot, pushing admitted rows into the
+    /// caller's per-query accumulators (and keeping `scratch`'s
+    /// admission state in step with them). Pruned-for-all tasks return
+    /// without materialising the slot.
+    fn scan_task<'q>(
         &self,
         si: usize,
         start: usize,
         end: usize,
-        ctxs: &[QueryCtx],
-        min_score: Option<f64>,
+        ctxs: &[QueryCtx<'q>],
         locals: &mut [TopK],
+        scratch: &mut Scratch<'q>,
     ) -> Result<()> {
         let slot = &self.slots[si];
-        // Slot-level pruning, before the segment file is touched: the
-        // static min_score bound plus each query's current k-th score.
-        let mut active: Vec<usize> = Vec::with_capacity(ctxs.len());
+        // Slot-level pruning, before the segment file is touched.
+        scratch.active.clear();
         for (qi, ctx) in ctxs.iter().enumerate() {
             let ub = self.slot_upper_bound(slot, ctx);
-            if min_score.is_some_and(|ms| ub < ms) {
-                continue;
+            if !scratch.admission[qi].theta.is_some_and(|theta| ub < theta) {
+                scratch.active.push(qi);
             }
-            if locals[qi].threshold().is_some_and(|theta| ub < theta) {
-                continue;
-            }
-            active.push(qi);
         }
-        if active.is_empty() {
+        if scratch.active.is_empty() {
             return Ok(());
         }
         let arena = self.arena(slot)?;
         let stride = arena.stride();
         let words = arena.words();
-        // One dispatch-table fetch per task; the per-block calls below go
-        // through plain fn pointers.
+        // One dispatch-table fetch per task.
         let kernel = active_kernel();
-        // `done[ai]`: this query's bound can only worsen for the rest of
-        // the (popcount-ascending) range, so it stops scanning early.
-        let mut done = vec![false; active.len()];
+        let mut tally = RowTally::default();
+        // The live list depends only on the block's popcounts and the
+        // queries' thresholds, so it is rebuilt only when one changes.
+        let mut live_for = None;
         let mut i = start;
-        while i < end {
+        while i < end && !scratch.active.is_empty() {
             let block_end = end.min(i + 4);
-            let lo = arena.popcount(i) as usize;
-            let hi = arena.popcount(block_end - 1) as usize;
-            if block_end - i == 4 {
-                let rows = &words[i * stride..(i + 4) * stride];
-                for (ai, &qi) in active.iter().enumerate() {
-                    if done[ai] {
-                        continue;
-                    }
-                    let ctx = &ctxs[qi];
-                    let theta = effective_theta(&locals[qi], min_score);
-                    if let Some(theta) = theta {
-                        if dice_upper_bound(ctx.q, ctx.q.clamp(lo, hi)) < theta {
-                            if lo >= ctx.q {
-                                done[ai] = true;
-                            }
-                            continue;
-                        }
-                    }
-                    let counts = kernel.and_count4(ctx.words, rows);
-                    for (j, &c) in counts.iter().enumerate() {
-                        let row = i + j;
-                        locals[qi].push(Hit {
-                            id: arena.id(row),
-                            score: dice_from_counts(c, ctx.q, arena.popcount(row) as usize),
-                        });
-                    }
-                }
+            let n = block_end - i;
+            let xs = (
+                arena.popcount(i) as usize,
+                arena.popcount(block_end - 1) as usize,
+            );
+            if live_for != Some(xs) {
+                live_for = Some(xs);
+                scratch.select_live(ctxs, xs, end - i, &mut tally);
+            }
+            tally.window_pruned += ((scratch.active.len() - scratch.live.len()) * n) as u64;
+            if scratch.live.is_empty() {
+                i = block_end;
+                continue;
+            }
+            let block = &words[i * stride..block_end * stride];
+            let rows = if n == 4 {
+                block
             } else {
-                // Tail block (< 4 rows): scalar kernel per row.
-                for (ai, &qi) in active.iter().enumerate() {
-                    if done[ai] {
-                        continue;
-                    }
-                    let ctx = &ctxs[qi];
-                    for row in i..block_end {
-                        let x = arena.popcount(row) as usize;
-                        if let Some(theta) = effective_theta(&locals[qi], min_score) {
-                            if dice_upper_bound(ctx.q, x) < theta {
-                                continue;
-                            }
-                        }
-                        locals[qi].push(Hit {
-                            id: arena.id(row),
-                            score: dice_from_counts(
-                                kernel.and_count(ctx.words, arena.row(row)),
-                                ctx.q,
-                                x,
-                            ),
-                        });
-                    }
+                // A short last block is scored zero-padded; the padding
+                // lanes are masked off below.
+                scratch.tail.clear();
+                scratch.tail.extend_from_slice(block);
+                scratch.tail.resize(4 * stride, 0);
+                &scratch.tail
+            };
+            let totals = kernel.score_block(rows, &scratch.probes, &mut scratch.hits);
+            let lanes = (1u8 << n) - 1;
+            if n == 4 {
+                tally.scored += u64::from(totals.scored);
+                tally.prefix_rejected += (4 * scratch.live.len()) as u64 - u64::from(totals.scored);
+                if totals.admitted == 0 {
+                    i = block_end;
+                    continue;
+                }
+            }
+            for (li, &qi) in scratch.live.iter().enumerate() {
+                let hits = scratch.hits[li];
+                if n < 4 {
+                    let scored = u64::from((hits.scored & lanes).count_ones());
+                    tally.scored += scored;
+                    tally.prefix_rejected += n as u64 - scored;
+                }
+                let mut admitted = hits.admitted & lanes;
+                if admitted == 0 {
+                    continue;
+                }
+                let ctx = &ctxs[qi];
+                while admitted != 0 {
+                    let j = admitted.trailing_zeros() as usize;
+                    admitted &= admitted - 1;
+                    let row = i + j;
+                    locals[qi].push(Hit {
+                        id: arena.id(row),
+                        score: dice_from_counts(
+                            hits.counts[j] as usize,
+                            ctx.q,
+                            arena.popcount(row) as usize,
+                        ),
+                    });
+                }
+                let theta = effective_theta(&locals[qi], scratch.min_score);
+                if theta != scratch.admission[qi].theta {
+                    scratch.admission[qi] = Admission::new(theta, ctx.q, self.filter_len);
+                    live_for = None;
                 }
             }
             i = block_end;
         }
+        self.rows.fold(&tally);
         Ok(())
     }
 
@@ -654,11 +692,198 @@ impl IndexReader {
     }
 }
 
-/// Per-query scan state: the query's words, popcount and band keys.
+/// Per-query scan state: the query as a kernel probe, its popcount and
+/// its band keys.
 struct QueryCtx<'a> {
-    words: &'a [u64],
+    probe: BlockProbe<'a>,
     q: usize,
     keys: Vec<u64>,
+}
+
+/// One worker's scan buffers, allocated once per call and reused by
+/// every task the worker claims.
+struct Scratch<'q> {
+    /// The call's score floor, part of every query's threshold.
+    min_score: Option<f64>,
+    /// Admission state per query, kept in step with the worker's
+    /// accumulators.
+    admission: Vec<Admission>,
+    /// Queries still scanning the current task.
+    active: Vec<usize>,
+    /// Queries live on the current block, with their kernel inputs.
+    live: Vec<usize>,
+    probes: Vec<BlockProbe<'q>>,
+    /// Kernel output, one entry per live query.
+    hits: Vec<BlockHits>,
+    /// Zero-padded copy of a task's short last block.
+    tail: Vec<u64>,
+}
+
+impl<'q> Scratch<'q> {
+    /// Rebuilds the live list for a block whose first and last popcounts
+    /// are `xs`, with `rest` rows left in the task: a query past its
+    /// window's upper end is done with the task (its remaining pairs
+    /// count as window-pruned); one below its window's lower end sits
+    /// this block out; the rest are live, at their admission count for
+    /// the block's first popcount.
+    fn select_live(
+        &mut self,
+        ctxs: &[QueryCtx<'q>],
+        (x_first, x_last): (usize, usize),
+        rest: usize,
+        tally: &mut RowTally,
+    ) {
+        self.live.clear();
+        self.probes.clear();
+        let mut ai = 0;
+        while ai < self.active.len() {
+            let qi = self.active[ai];
+            let adm = &mut self.admission[qi];
+            if x_first > adm.x_hi {
+                tally.window_pruned += rest as u64;
+                self.active.swap_remove(ai);
+                continue;
+            }
+            ai += 1;
+            if x_last < adm.x_lo {
+                continue;
+            }
+            let ctx = &ctxs[qi];
+            let cmin = adm.cmin(ctx.q, x_first);
+            self.live.push(qi);
+            self.probes.push(ctx.probe.with_cmin(cmin));
+        }
+    }
+
+    fn new(ctxs: &[QueryCtx<'q>], min_score: Option<f64>, filter_len: usize) -> Scratch<'q> {
+        Scratch {
+            min_score,
+            admission: ctxs
+                .iter()
+                .map(|ctx| Admission::new(min_score, ctx.q, filter_len))
+                .collect(),
+            active: Vec::with_capacity(ctxs.len()),
+            live: Vec::with_capacity(ctxs.len()),
+            probes: Vec::with_capacity(ctxs.len()),
+            hits: vec![BlockHits::default(); ctxs.len()],
+            tail: Vec::new(),
+        }
+    }
+}
+
+/// A query's admission state at threshold `theta` (`None` admits every
+/// row): its popcount window and its admission count, cached at the
+/// popcount it was last computed for.
+#[derive(Debug, Clone, Copy)]
+struct Admission {
+    theta: Option<f64>,
+    x_lo: usize,
+    x_hi: usize,
+    cmin_at: usize,
+    cmin: u32,
+}
+
+impl Admission {
+    /// The window of a query of popcount `q` at `theta`, over filters of
+    /// at most `max_x` set bits.
+    fn new(theta: Option<f64>, q: usize, max_x: usize) -> Admission {
+        let (x_lo, x_hi) = match theta {
+            Some(theta) => popcount_window(theta, q, max_x),
+            None => (0, usize::MAX),
+        };
+        Admission {
+            theta,
+            x_lo,
+            x_hi,
+            cmin_at: usize::MAX,
+            cmin: 0,
+        }
+    }
+
+    /// The admission count for rows of popcount at least `x`.
+    #[inline]
+    fn cmin(&mut self, q: usize, x: usize) -> u32 {
+        if x != self.cmin_at {
+            self.cmin_at = x;
+            self.cmin = self.theta.map_or(0, |theta| {
+                u32::try_from(admission_count(theta, q, x)).unwrap_or(u32::MAX)
+            });
+        }
+        self.cmin
+    }
+}
+
+/// Row counts of one scan task, folded into [`RowCounters`] once.
+#[derive(Debug, Default)]
+struct RowTally {
+    window_pruned: u64,
+    prefix_rejected: u64,
+    scored: u64,
+}
+
+/// A reader's cumulative row counters (see [`ReadStats`]).
+#[derive(Debug, Default)]
+struct RowCounters {
+    window_pruned: AtomicU64,
+    prefix_rejected: AtomicU64,
+    scored: AtomicU64,
+}
+
+impl RowCounters {
+    fn fold(&self, tally: &RowTally) {
+        self.window_pruned
+            .fetch_add(tally.window_pruned, Ordering::Relaxed);
+        self.prefix_rejected
+            .fetch_add(tally.prefix_rejected, Ordering::Relaxed);
+        self.scored.fetch_add(tally.scored, Ordering::Relaxed);
+    }
+}
+
+/// The least intersection count `c` with
+/// `dice_from_counts(c, q, x) >= theta`, for `theta <= 1`: a closed form,
+/// then an exact fix against the f64 expression the scores use (which is
+/// non-decreasing in `c`, so the fix moves at most a step or two).
+fn admission_count(theta: f64, q: usize, x: usize) -> usize {
+    let n = q + x;
+    if n == 0 || theta <= 0.0 {
+        return 0;
+    }
+    let admits = |c: usize| dice_from_counts(c, q, x) >= theta;
+    let mut c = ((theta * n as f64 / 2.0).ceil() as usize).min(n);
+    while c > 0 && admits(c - 1) {
+        c -= 1;
+    }
+    while c < n && !admits(c) {
+        c += 1;
+    }
+    c
+}
+
+/// `[x_lo, x_hi]`: the popcounts `x <= max_x` whose bound
+/// [`dice_upper_bound`]`(q, x)` reaches `theta`, for `theta <= 1` and
+/// `q <= max_x`. The bound rises as `2x/(q+x)` up to `x = q` and falls
+/// as `2q/(q+x)` after it, so the set is an interval around `q`; each
+/// end is a closed form plus an exact fix, as in [`admission_count`].
+fn popcount_window(theta: f64, q: usize, max_x: usize) -> (usize, usize) {
+    if theta <= 0.0 {
+        return (0, max_x);
+    }
+    let admits = |x: usize| dice_upper_bound(q, x) >= theta;
+    let mut lo = ((theta * q as f64 / (2.0 - theta)).ceil() as usize).min(q);
+    while lo > 0 && admits(lo - 1) {
+        lo -= 1;
+    }
+    while lo < q && !admits(lo) {
+        lo += 1;
+    }
+    let mut hi = ((q as f64 * (2.0 - theta) / theta).floor() as usize).clamp(q, max_x.max(q));
+    while hi < max_x && admits(hi + 1) {
+        hi += 1;
+    }
+    while hi > q && !admits(hi) {
+        hi -= 1;
+    }
+    (lo, hi)
 }
 
 /// The score a candidate must beat (or tie) to matter for this query:
@@ -1006,6 +1231,217 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// (a) The admission math, exhaustively for every `q, x <= 1024`:
+    /// `admission_count` is the *least* count whose exact Dice reaches
+    /// θ, and `popcount_window` is exactly the set where
+    /// `dice_upper_bound` reaches θ (equivalently, where the admission
+    /// count fits under `min(q, x)`). θ comes from the score lattice
+    /// `2c/(q+x)`, so every boundary is an exact tie, plus 0.0 and 1.0.
+    #[test]
+    fn admission_count_and_window_are_exact_on_the_score_lattice() {
+        const MAX: usize = 1024;
+        let least = |theta: f64, q: usize, x: usize| {
+            let c = admission_count(theta, q, x);
+            assert!(
+                dice_from_counts(c, q, x) >= theta,
+                "cmin {c} does not admit at θ={theta} q={q} x={x}"
+            );
+            assert!(
+                c == 0 || dice_from_counts(c - 1, q, x) < theta,
+                "cmin {c} is not the least at θ={theta} q={q} x={x}"
+            );
+            c
+        };
+        for q in 0..=MAX {
+            for x in 0..=MAX {
+                let m = q.min(x);
+                let mut thetas = vec![0.0, 1.0];
+                for c in [0, 1, m / 3, m / 2, m.saturating_sub(1), m, m + 1] {
+                    thetas.push(dice_from_counts(c, q, x));
+                }
+                // Ties against neighbouring denominators too.
+                thetas.push(dice_from_counts(m, q, x + 1));
+                thetas.push(dice_from_counts(m / 2, q + 1, x));
+                for theta in thetas.into_iter().filter(|t| *t <= 1.0) {
+                    least(theta, q, x);
+                }
+            }
+            // Window ends at every exact upper-bound tie for this q.
+            let ub_lattice = (0..=MAX).map(|x| dice_upper_bound(q, x));
+            for theta in [0.0, 1.0].into_iter().chain(ub_lattice) {
+                let (lo, hi) = popcount_window(theta, q, MAX);
+                assert!(lo <= q && q <= hi && hi <= MAX, "θ={theta} q={q}");
+                assert!(dice_upper_bound(q, lo) >= theta, "lo θ={theta} q={q}");
+                assert!(lo == 0 || dice_upper_bound(q, lo - 1) < theta);
+                assert!(dice_upper_bound(q, hi) >= theta, "hi θ={theta} q={q}");
+                assert!(hi == MAX || dice_upper_bound(q, hi + 1) < theta);
+            }
+            // Full membership, for every x, at a few thresholds.
+            let probe_thetas = [
+                0.0,
+                0.5,
+                0.8,
+                1.0,
+                dice_upper_bound(q, q / 2),
+                dice_upper_bound(q, 2 * q),
+            ];
+            for theta in probe_thetas {
+                let (lo, hi) = popcount_window(theta, q, MAX);
+                for x in 0..=MAX {
+                    let inside = (lo..=hi).contains(&x);
+                    assert_eq!(
+                        inside,
+                        dice_upper_bound(q, x) >= theta,
+                        "window θ={theta} q={q} x={x}"
+                    );
+                    assert_eq!(
+                        inside,
+                        least(theta, q, x) <= q.min(x),
+                        "window vs cmin θ={theta} q={q} x={x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A clustered corpus: a few bases, popcount-preserving variants of
+    /// each (so many rows share a popcount and sit near a probe), and
+    /// exact duplicates under fresh ids (so the k-th score ties).
+    fn clustered_corpus(len: usize, seed: u64) -> Vec<(u64, BitVec)> {
+        let mut rng = SplitMix64::new(seed);
+        let mut records = Vec::new();
+        for (b, per_mille) in [120u64, 250, 330, 400, 480, 600].into_iter().enumerate() {
+            let base: Vec<usize> = (0..len)
+                .filter(|_| rng.next_u64() % 1000 < per_mille)
+                .collect();
+            let zeros: Vec<usize> = (0..len).filter(|i| !base.contains(i)).collect();
+            for v in 0..30u64 {
+                // Move `moves` set bits to unset positions.
+                let moves = (v as usize % 9).min(base.len()).min(zeros.len());
+                let mut ones = base.clone();
+                let off = rng.sample_indices(base.len(), moves);
+                let on = rng.sample_indices(zeros.len(), moves);
+                for (&o, &n) in off.iter().zip(&on) {
+                    ones[o] = zeros[n];
+                }
+                let id = 1000 * b as u64 + v;
+                records.push((id, BitVec::from_positions(len, &ones).unwrap()));
+            }
+        }
+        // Exact duplicates under fresh (interleaved) ids.
+        for i in (0..records.len()).step_by(7) {
+            let (id, f) = records[i].clone();
+            records.push((id + 500, f));
+        }
+        records
+    }
+
+    fn brute_force_min(
+        records: &[(u64, BitVec)],
+        query: &BitVec,
+        k: usize,
+        min_score: Option<f64>,
+    ) -> Vec<Hit> {
+        let mut hits = brute_force(records, query, records.len());
+        hits.retain(|h| min_score.is_none_or(|ms| h.score >= ms));
+        hits.truncate(k);
+        hits
+    }
+
+    /// (b) Every entry point is bit-identical to brute force on the
+    /// clustered corpus, for every `min_score`, `k` and thread count, on
+    /// an eager reader and on a lazy, summary-enabled store reader.
+    #[test]
+    fn clustered_corpus_matches_brute_force_on_every_entry_point() {
+        use crate::store::{IndexConfig, IndexStore};
+        let len = 320; // 5 words: an odd stride, and summaries enabled
+        let records = clustered_corpus(len, 0xC1u64);
+        let n = records.len();
+        let eager = IndexReader::new(shard_split(&records, 3), len).unwrap();
+        let dir = std::env::temp_dir().join(format!("pprl-query-exact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = IndexConfig::new(len, 3);
+        assert!(config.summary.enabled(), "summaries on at {len} bits");
+        let mut store = IndexStore::create(&dir, config).unwrap();
+        store.insert_batch(&records[..n / 2]).unwrap();
+        store.flush().unwrap();
+        store.insert_batch(&records[n / 2..]).unwrap();
+        store.flush().unwrap();
+        let lazy = store.lazy_reader().unwrap();
+
+        let mut rng = SplitMix64::new(0xFEED);
+        let mut queries: Vec<BitVec> = records.iter().step_by(17).map(|(_, f)| f.clone()).collect();
+        for (_, f) in records.iter().step_by(23) {
+            let mut p = f.clone();
+            for pos in rng.sample_indices(len, 6) {
+                p.flip(pos);
+            }
+            queries.push(p);
+        }
+        queries.push(BitVec::zeros(len));
+        queries.push(BitVec::ones(len));
+        let refs: Vec<&BitVec> = queries.iter().collect();
+
+        for (name, reader) in [("eager", &eager), ("lazy", &lazy)] {
+            for k in [1, 10, n + 5] {
+                for threads in [1, 2, 4] {
+                    for min_score in [None, Some(0.0), Some(0.5), Some(0.8), Some(1.0)] {
+                        let batch = reader.top_k_batch(&refs, k, threads, min_score).unwrap();
+                        for (qi, query) in queries.iter().enumerate() {
+                            assert_eq!(
+                                batch[qi],
+                                brute_force_min(&records, query, k, min_score),
+                                "{name} batch k={k} threads={threads} ms={min_score:?} q={qi}"
+                            );
+                        }
+                    }
+                    for (qi, query) in queries.iter().enumerate() {
+                        let want = brute_force_min(&records, query, k, None);
+                        let plan = reader.popcount_scan_order(query.count_ones());
+                        assert_eq!(
+                            reader.top_k(query, k, threads).unwrap(),
+                            want,
+                            "{name} top_k k={k} threads={threads} q={qi}"
+                        );
+                        assert_eq!(
+                            reader.top_k_planned(query, k, threads, &plan).unwrap(),
+                            want,
+                            "{name} planned k={k} threads={threads} q={qi}"
+                        );
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn row_counters_add_up_to_the_pairs_visited() {
+        // One slot scanned by one worker as one task: nothing is pruned
+        // at slot level, so the scan visits every (probe, row) pair.
+        let len = 320;
+        let records = clustered_corpus(len, 0xC2u64);
+        let reader = IndexReader::new(vec![records.clone()], len).unwrap();
+        let probes: Vec<BitVec> = records.iter().step_by(11).map(|(_, f)| f.clone()).collect();
+        let refs: Vec<&BitVec> = probes.iter().collect();
+        let mut visited = 0u64;
+        for min_score in [None, Some(0.8)] {
+            reader.top_k_batch(&refs, 5, 1, min_score).unwrap();
+            visited += (records.len() * probes.len()) as u64;
+            let s = reader.read_stats();
+            assert_eq!(
+                s.rows_window_pruned + s.rows_prefix_rejected + s.rows_scored,
+                visited,
+                "{s:?}"
+            );
+        }
+        let s = reader.read_stats();
+        // The clustered corpus exercises all three groups.
+        assert!(s.rows_window_pruned > 0, "{s:?}");
+        assert!(s.rows_prefix_rejected > 0, "{s:?}");
+        assert!(s.rows_scored > 0, "{s:?}");
     }
 
     #[test]

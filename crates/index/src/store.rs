@@ -98,6 +98,16 @@ pub struct ReadStats {
     /// Name of the dispatched scan-kernel path serving these reads
     /// (`"scalar"`, `"avx2"`, …; empty in a default-constructed value).
     pub kernel: &'static str,
+    /// (query, row) pairs a scan skipped without touching the row's
+    /// words, because the row's popcount lies outside the query's
+    /// window. Cumulative over the reader's lifetime, as are the two
+    /// counters below; the three add up to the pairs scans visited.
+    pub rows_window_pruned: u64,
+    /// (query, row) pairs the scan kernel rejected on the row prefix
+    /// alone (the prefix bound fell short of the admission count).
+    pub rows_prefix_rejected: u64,
+    /// (query, row) pairs whose intersection count was computed in full.
+    pub rows_scored: u64,
 }
 
 /// When the WAL is fsynced relative to acking an insert.

@@ -3,10 +3,12 @@
 //! The correctness bar for the arena rewrite is *bit-for-bit* agreement
 //! with the scalar `BitVec` path at every layer:
 //!
-//! 1. The flat-slice kernels (`and_count`, `and_count4`,
-//!    `dice_from_counts`) must reproduce `BitVec::and_count` /
-//!    `dice_bits` exactly, including all-zero and all-one edges and
-//!    lengths that straddle word boundaries.
+//! 1. The flat-slice kernels (`and_count`, the block scan
+//!    `score_block`, `dice_from_counts`) must reproduce
+//!    `BitVec::and_count` / `dice_bits` exactly, including all-zero and
+//!    all-one edges and lengths that straddle word boundaries; the block
+//!    scan's two admission stages must match a scalar reference at
+//!    admission counts set exactly at, and one above, each stage's count.
 //! 2. A lazy [`IndexReader`] over segment files, the eager store
 //!    reader, and a brute-force scan must return identical `(id,
 //!    score)` hit lists for the same queries.
@@ -21,8 +23,8 @@ use pprl_index::store::{IndexConfig, IndexStore};
 use pprl_index::summary::SummaryConfig;
 use pprl_similarity::bitvec_sim::dice_bits;
 use pprl_similarity::kernel::{
-    and_count, and_count4, available_kernels, dice_from_counts, kernel_name,
-    requested_is_supported, requested_kernel,
+    active_kernel, and_count, available_kernels, dice_from_counts, kernel_name, prefix_words,
+    requested_is_supported, requested_kernel, BlockHits, BlockProbe, Kernel,
 };
 use std::path::PathBuf;
 
@@ -120,14 +122,138 @@ fn every_dispatch_path_matches_the_bitvec_oracle() {
             for row in &rows {
                 block.extend_from_slice(row.as_words());
             }
-            let counts = kernel.and_count4(query.as_words(), &block);
+            let counts = full_counts(kernel, query.as_words(), &block);
             for (lane, row) in rows.iter().enumerate() {
                 assert_eq!(
-                    counts[lane],
+                    counts[lane] as usize,
                     query.and_count(row),
                     "kernel {} lane {lane} at len {len}",
                     kernel.name()
                 );
+            }
+        }
+    }
+}
+
+/// Full counts of one probe against a 4-row block: `score_block` with
+/// admission count 0 scores and admits every row.
+fn full_counts(kernel: &Kernel, probe: &[u64], block: &[u64]) -> [u32; 4] {
+    let mut out = [BlockHits::default()];
+    kernel.score_block(block, &[BlockProbe::new(probe, 0)], &mut out);
+    assert_eq!((out[0].scored, out[0].admitted), (0xF, 0xF));
+    out[0].counts
+}
+
+/// Scalar reference for one probe of `score_block`, straight from the
+/// definition: prefix counts over the first `prefix_words(stride)`
+/// words, the prefix bound `c_prefix + popcount(probe suffix) >= cmin`,
+/// then the full count against `cmin`.
+fn reference_block(rows: &[u64], probe: &[u64], cmin: u32) -> BlockHits {
+    let stride = probe.len();
+    let split = prefix_words(stride);
+    let suffix: u32 = probe[split..].iter().map(|w| w.count_ones()).sum();
+    let mut out = BlockHits::default();
+    for j in 0..4 {
+        let row = &rows[j * stride..(j + 1) * stride];
+        let count = |range: std::ops::Range<usize>| -> u32 {
+            range.map(|w| (probe[w] & row[w]).count_ones()).sum()
+        };
+        let prefix = count(0..split);
+        if u64::from(prefix) + u64::from(suffix) < u64::from(cmin) {
+            out.counts[j] = prefix;
+            continue;
+        }
+        out.scored |= 1 << j;
+        out.counts[j] = prefix + count(split..stride);
+        if out.counts[j] >= cmin {
+            out.admitted |= 1 << j;
+        }
+    }
+    out
+}
+
+/// The block scan on every dispatch path, against the scalar reference,
+/// over strides 1–20 and 32 (word counts on both sides of every vector
+/// width, and strides whose prefix is empty or shorter than one vector),
+/// all-zero and all-one rows and probes, and admission counts set
+/// exactly at and one above each row's prefix bound and full count.
+#[test]
+fn block_scan_matches_the_scalar_reference_on_every_path() {
+    let mut state = 0x5CA7u64;
+    let strides: Vec<usize> = (1..=20).chain([32]).collect();
+    for &stride in &strides {
+        // Trailing bits stay zero, as in any arena row.
+        let len = 64 * stride - (stride % 3) * 7;
+        let mut row_sets: Vec<Vec<BitVec>> = vec![
+            vec![BitVec::zeros(len); 4],
+            vec![BitVec::ones(len); 4],
+            vec![
+                BitVec::zeros(len),
+                BitVec::ones(len),
+                random_filter(len, 300, &mut state),
+                random_filter(len, 700, &mut state),
+            ],
+        ];
+        for fill in [100, 300, 500] {
+            row_sets.push(
+                (0..4)
+                    .map(|_| random_filter(len, fill, &mut state))
+                    .collect(),
+            );
+        }
+        let probe_set = [
+            BitVec::zeros(len),
+            BitVec::ones(len),
+            random_filter(len, 300, &mut state),
+            random_filter(len, 600, &mut state),
+        ];
+        for rows in &row_sets {
+            let block: Vec<u64> = rows.iter().flat_map(|r| r.as_words().to_vec()).collect();
+            for probe in &probe_set {
+                let words = probe.as_words();
+                let at_zero = reference_block(&block, words, 0);
+                let split = prefix_words(stride);
+                let suffix: u32 = words[split..].iter().map(|w| w.count_ones()).sum();
+                // Each row's full count and prefix bound, and one above.
+                let mut cmins = vec![0u32, u32::MAX];
+                for (j, row) in rows.iter().enumerate() {
+                    let full = probe.and_count(row) as u32;
+                    assert_eq!(at_zero.counts[j], full, "reference full count");
+                    let prefix: u32 = (0..split)
+                        .map(|w| (words[w] & block[j * stride + w]).count_ones())
+                        .sum();
+                    cmins.extend([full, full + 1, prefix + suffix, prefix + suffix + 1]);
+                }
+                let probes: Vec<BlockProbe> =
+                    cmins.iter().map(|&c| BlockProbe::new(words, c)).collect();
+                let want: Vec<BlockHits> = cmins
+                    .iter()
+                    .map(|&c| reference_block(&block, words, c))
+                    .collect();
+                for (i, &cmin) in cmins.iter().enumerate().skip(2) {
+                    // cmins[2 + 4j ..]: row j's full, full+1, bound, bound+1.
+                    let j = (i - 2) / 4;
+                    let bit = 1u8 << j;
+                    match (i - 2) % 4 {
+                        0 => assert!(want[i].admitted & bit != 0, "at full count {cmin}"),
+                        1 => assert!(want[i].admitted & bit == 0, "above full count {cmin}"),
+                        2 => assert!(want[i].scored & bit != 0, "at prefix bound {cmin}"),
+                        _ => assert!(want[i].scored & bit == 0, "above prefix bound {cmin}"),
+                    }
+                }
+                for kernel in available_kernels() {
+                    // All admission counts in one call, as a batch scan
+                    // passes its live probes.
+                    let mut got = vec![BlockHits::default(); probes.len()];
+                    kernel.score_block(&block, &probes, &mut got);
+                    assert_eq!(got, want, "kernel {} at stride {stride}", kernel.name());
+                    // And one probe per call.
+                    for (probe, want) in probes.iter().zip(&want) {
+                        let mut one = [BlockHits::default()];
+                        kernel.score_block(&block, std::slice::from_ref(probe), &mut one);
+                        assert_eq!(one[0], *want, "kernel {} single probe", kernel.name());
+                    }
+                }
             }
         }
     }
@@ -179,18 +305,18 @@ fn batched_kernel_matches_scalar_over_arena_blocks() {
         let mut i = 0;
         while i + 4 <= arena.len() {
             let block = &arena.words()[i * stride..(i + 4) * stride];
-            let counts = and_count4(q, block);
+            let counts = full_counts(&active_kernel(), q, block);
             for (lane, &count) in counts.iter().enumerate() {
                 assert_eq!(
-                    count,
+                    count as usize,
                     and_count(q, arena.row(i + lane)),
                     "lane {lane} of block at row {i}, len {len}"
                 );
             }
             i += 4;
         }
-        // Tail rows go through the scalar kernel; check them against the
-        // original BitVec too (arena rows round-trip exactly).
+        // Check every row against the original BitVec too (arena rows
+        // round-trip exactly).
         for row in 0..arena.len() {
             let (_, filter) = arena.get(row).expect("row");
             assert_eq!(

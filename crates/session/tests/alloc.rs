@@ -5,28 +5,44 @@
 //! buffers are owned by the channel and reused; MACs run from cached
 //! HMAC midstates into stack arrays; keystreams are applied in place.
 //!
-//! Uses the same counting-global-allocator shim as the E19 compaction
-//! bench: an integration test binary gets its own `#[global_allocator]`,
-//! so the counter sees every allocation this process makes.
+//! Uses a counting-global-allocator shim like the E19 compaction bench:
+//! an integration test binary gets its own `#[global_allocator]`. The
+//! count is kept per thread, so tests running in parallel (and the
+//! handshake threads they spawn) never see each other's allocations;
+//! each measured closure runs on the thread that reads the count.
 
 use pprl_session::handshake::{client_handshake_established, server_handshake, ClientAuth};
 use pprl_session::keys::{entropy_rng, PartyKey};
 use pprl_session::registry::{AuthRegistry, TenantGrant};
 use pprl_session::{CipherSuite, IncomingRef, SecureChannel, SuiteOffer};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. `const`-initialised and
+    /// without a destructor, so reading it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed
-// atomic and never touches the allocator's invariants.
+fn count_call() {
+    // `try_with`: a thread being torn down may still allocate after its
+    // thread-locals are gone; those calls are not counted.
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+fn calls_on_this_thread() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+// SAFETY: delegates directly to `System`; the counter is a plain
+// thread-local cell and never touches the allocator's invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,10 +59,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
+/// Runs `f` on this thread and returns its result and the allocator
+/// calls it made.
 fn alloc_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
+    let calls0 = calls_on_this_thread();
     let out = f();
-    (out, ALLOC_CALLS.load(Ordering::Relaxed) - calls0)
+    (out, calls_on_this_thread() - calls0)
 }
 
 /// Establishes a real wire v4 session over loopback and hands both

@@ -5,14 +5,20 @@
 //! `pprl-index`), so its hot loop works on `&[u64]` slices rather than
 //! `BitVec`s. These kernels are the slice-level counterparts of
 //! [`pprl_core::bitvec::BitVec::and_count`] and
-//! [`crate::bitvec_sim::dice_bits`], with two throughput-oriented
-//! variants:
+//! [`crate::bitvec_sim::dice_bits`]:
 //!
 //! * [`and_count`] — one pair, four independent accumulators so the
 //!   popcounts pipeline instead of serialising on one add chain;
-//! * [`and_count4`] — one query against four rows stored contiguously,
-//!   loading each query word once per *four* intersections, which is
-//!   what makes the batched arena scan memory-bandwidth-friendly.
+//! * [`Kernel::score_block`] — one 4-row arena block against every live
+//!   probe of a scan in a single call. It is a two-stage admission test:
+//!   each probe carries an integer *admission count* `cmin`, and a row
+//!   matters only if its intersection count `c` reaches it. The first
+//!   stage counts the row prefix (the first [`prefix_words`] words) and
+//!   rejects the row when `c_prefix + popcount(probe suffix) < cmin`,
+//!   which is sound because the suffix can add at most the probe
+//!   suffix's popcount. Survivors are finished over the suffix in the
+//!   same call. The result per probe is a row mask plus exact counts,
+//!   the same on every dispatch path.
 //!
 //! # Dispatch
 //!
@@ -46,7 +52,9 @@
 //! term, so scores computed through this module are bit-identical to the
 //! scalar `BitVec` path. The property suite in
 //! `crates/index/tests/kernel_equivalence.rs` checks every path available
-//! on the host against the `BitVec` oracle, including odd tail lengths.
+//! on the host against the `BitVec` oracle, including odd tail lengths,
+//! and checks [`Kernel::score_block`] against a scalar reference at
+//! admission counts set exactly at, and one above, each stage's count.
 
 use std::sync::OnceLock;
 
@@ -60,7 +68,7 @@ use std::sync::OnceLock;
 pub struct Kernel {
     name: &'static str,
     and_count: fn(&[u64], &[u64]) -> usize,
-    and_count4: fn(&[u64], &[u64]) -> [usize; 4],
+    score_block: fn(&[u64], &[BlockProbe<'_>], &mut [BlockHits]) -> BlockTotals,
 }
 
 impl Kernel {
@@ -85,19 +93,37 @@ impl Kernel {
         (self.and_count)(a, b)
     }
 
-    /// Intersection popcounts of one query against four rows laid out
-    /// back-to-back in `rows` (`rows.len() == 4 * query.len()`).
+    /// Scores one 4-row block (`rows`, the rows laid out back to back)
+    /// against every probe in `probes`, writing one [`BlockHits`] per
+    /// probe into `out[..probes.len()]`. Bit `j` of `admitted` is set iff
+    /// row `j`'s intersection count with the probe is at least the
+    /// probe's `cmin`; see the module docs for the two stages. The
+    /// returned totals let a caller skip reading `out` when no row was
+    /// admitted.
     ///
-    /// As with [`Kernel::and_count`], the stride check stays on in
-    /// release builds; it is one comparison per 4-row block.
+    /// The shape checks stay on in release builds, as with
+    /// [`Kernel::and_count`]: one per probe per block.
     #[inline]
-    pub fn and_count4(&self, query: &[u64], rows: &[u64]) -> [usize; 4] {
-        assert_eq!(
-            rows.len(),
-            4 * query.len(),
-            "and_count4: rows must hold exactly 4 query-width rows"
+    pub fn score_block(
+        &self,
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
+        assert!(
+            rows.len().is_multiple_of(4),
+            "score_block: rows must hold exactly 4 rows of one stride"
         );
-        (self.and_count4)(query, rows)
+        let stride = rows.len() / 4;
+        assert!(out.len() >= probes.len(), "score_block: output too short");
+        for probe in probes {
+            assert_eq!(
+                probe.words.len(),
+                stride,
+                "score_block: probe width differs from the row stride"
+            );
+        }
+        (self.score_block)(rows, probes, &mut out[..probes.len()])
     }
 }
 
@@ -113,6 +139,112 @@ impl std::fmt::Debug for Kernel {
     }
 }
 
+/// One live probe of a [`Kernel::score_block`] call: the probe's filter
+/// words (one row stride long) and its admission count `cmin` — a row
+/// is admitted iff its intersection count with the probe is at least
+/// `cmin`. The fields are private so the cached suffix popcount always
+/// matches the words.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockProbe<'a> {
+    words: &'a [u64],
+    /// Popcount of `words[prefix_words(words.len())..]`.
+    suffix_ones: u32,
+    cmin: u32,
+}
+
+impl<'a> BlockProbe<'a> {
+    /// A probe over `words` admitting rows whose count reaches `cmin`.
+    pub fn new(words: &'a [u64], cmin: u32) -> BlockProbe<'a> {
+        let suffix_ones = words[prefix_words(words.len())..]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        BlockProbe {
+            words,
+            suffix_ones,
+            cmin,
+        }
+    }
+
+    /// The same probe at another admission count.
+    #[inline]
+    pub fn with_cmin(self, cmin: u32) -> BlockProbe<'a> {
+        BlockProbe { cmin, ..self }
+    }
+}
+
+/// What [`Kernel::score_block`] found for one probe against one block.
+/// Bit `j` of each mask stands for row `j` of the block.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockHits {
+    /// Rows that passed the prefix bound and were counted in full.
+    pub scored: u8,
+    /// Scored rows whose full count reached `cmin`.
+    pub admitted: u8,
+    /// The full intersection count of each scored row, and the prefix
+    /// count of each row the prefix bound rejected.
+    pub counts: [u32; 4],
+}
+
+/// Words of a `stride`-word row that [`Kernel::score_block`] counts
+/// before it applies the prefix bound: the first half, rounded down.
+#[inline]
+pub fn prefix_words(stride: usize) -> usize {
+    stride / 2
+}
+
+/// Totals over every probe of one [`Kernel::score_block`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockTotals {
+    /// Rows scored in full, summed over the probes.
+    pub scored: u32,
+    /// Union of the probes' `admitted` masks.
+    pub admitted: u8,
+}
+
+/// The prefix bound for four rows: bit `j` is set iff
+/// `prefix[j] + probe.suffix_ones >= probe.cmin`.
+#[inline(always)]
+fn prefix_mask(prefix: [u32; 4], probe: &BlockProbe<'_>) -> u8 {
+    let bound = u64::from(probe.suffix_ones);
+    let mut mask = 0u8;
+    for (j, &count) in prefix.iter().enumerate() {
+        mask |= u8::from(u64::from(count) + bound >= u64::from(probe.cmin)) << j;
+    }
+    mask
+}
+
+/// The second stage shared by every path. Each path leaves the prefix
+/// counts in `out[p].counts` and the prefix bound's verdict in
+/// `out[p].scored`; this finishes the probes with a surviving row over
+/// the suffix, with the path's own four-row counter `suffix4`, and sets
+/// the admitted masks.
+#[inline(always)]
+fn finish_block(
+    probes: &[BlockProbe<'_>],
+    out: &mut [BlockHits],
+    suffix4: impl Fn(&[u64]) -> [u32; 4],
+) -> BlockTotals {
+    let mut totals = BlockTotals::default();
+    for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+        hits.admitted = 0;
+        if hits.scored == 0 {
+            continue;
+        }
+        totals.scored += hits.scored.count_ones();
+        let suffix = suffix4(probe.words);
+        for (j, (count, extra)) in hits.counts.iter_mut().zip(suffix).enumerate() {
+            // Branch-free: rows the prefix bound rejected keep their
+            // prefix count and stay unadmitted.
+            let scored = (hits.scored >> j) & 1;
+            *count += extra * u32::from(scored);
+            hits.admitted |= (u8::from(*count >= probe.cmin) & scored) << j;
+        }
+        totals.admitted |= hits.admitted;
+    }
+    totals
+}
+
 /// Intersection popcount of two equal-length word slices, through the
 /// dispatched kernel. Equals
 /// [`pprl_core::bitvec::BitVec::and_count`] on the backing words of two
@@ -120,13 +252,6 @@ impl std::fmt::Debug for Kernel {
 #[inline]
 pub fn and_count(a: &[u64], b: &[u64]) -> usize {
     active_kernel().and_count(a, b)
-}
-
-/// Intersection popcounts of one query against four contiguous rows,
-/// through the dispatched kernel. See [`Kernel::and_count4`].
-#[inline]
-pub fn and_count4(query: &[u64], rows: &[u64]) -> [usize; 4] {
-    active_kernel().and_count4(query, rows)
 }
 
 /// Dice coefficient from an intersection popcount and the two filter
@@ -166,22 +291,47 @@ mod scalar {
         acc[0] + acc[1] + acc[2] + acc[3] + tail
     }
 
-    #[inline]
-    pub(super) fn and_count4(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        let stride = query.len();
-        debug_assert_eq!(rows.len(), 4 * stride);
+    /// Counts of `probe[from..to]` against the same words of each of
+    /// the four `stride`-word rows in `rows`.
+    #[inline(always)]
+    pub(super) fn count4(
+        rows: &[u64],
+        stride: usize,
+        probe: &[u64],
+        from: usize,
+        to: usize,
+    ) -> [u32; 4] {
         let (r0, rest) = rows.split_at(stride);
         let (r1, rest) = rest.split_at(stride);
         let (r2, r3) = rest.split_at(stride);
-        let mut acc = [0usize; 4];
-        for w in 0..stride {
-            let q = query[w];
-            acc[0] += (q & r0[w]).count_ones() as usize;
-            acc[1] += (q & r1[w]).count_ones() as usize;
-            acc[2] += (q & r2[w]).count_ones() as usize;
-            acc[3] += (q & r3[w]).count_ones() as usize;
+        let mut acc = [0u32; 4];
+        for w in from..to {
+            let q = probe[w];
+            acc[0] += (q & r0[w]).count_ones();
+            acc[1] += (q & r1[w]).count_ones();
+            acc[2] += (q & r2[w]).count_ones();
+            acc[3] += (q & r3[w]).count_ones();
         }
         acc
+    }
+
+    /// The block scan, probe by probe: four prefix accumulators per
+    /// probe, then the shared second stage.
+    #[inline]
+    pub(super) fn score_block(
+        rows: &[u64],
+        probes: &[super::BlockProbe<'_>],
+        out: &mut [super::BlockHits],
+    ) -> super::BlockTotals {
+        let stride = rows.len() / 4;
+        let split = super::prefix_words(stride);
+        for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+            hits.counts = count4(rows, stride, probe.words, 0, split);
+            hits.scored = super::prefix_mask(hits.counts, probe);
+        }
+        super::finish_block(probes, out, |probe| {
+            count4(rows, stride, probe, split, stride)
+        })
     }
 }
 
@@ -195,7 +345,35 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
+    use super::{BlockHits, BlockProbe, BlockTotals};
     use core::arch::x86_64::*;
+
+    // ---- shared by the avx2 and avx512 block scans ----
+
+    /// The prefix bound in-register: bit `j` is set iff dword `j` of
+    /// `prefix` plus the probe's suffix popcount reaches its admission
+    /// count (an unsigned compare).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn prefix_mask_sse(prefix: __m128i, probe: &BlockProbe<'_>) -> u8 {
+        let bound = _mm_add_epi32(prefix, _mm_set1_epi32(probe.suffix_ones as i32));
+        let cmin = _mm_set1_epi32(probe.cmin as i32);
+        let reached = _mm_cmpeq_epi32(_mm_max_epu32(bound, cmin), bound);
+        _mm_movemask_ps(_mm_castsi128_ps(reached)) as u8
+    }
+
+    /// Adds `sums` to the four counts in `counts`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_counts(counts: &mut [u32; 4], sums: __m128i) -> __m128i {
+        // SAFETY: `counts` is 16 readable and writable bytes;
+        // loadu/storeu have no alignment requirement.
+        unsafe {
+            let total = _mm_add_epi32(_mm_loadu_si128(counts.as_ptr().cast()), sums);
+            _mm_storeu_si128(counts.as_mut_ptr().cast(), total);
+            total
+        }
+    }
 
     // ---- portable: the scalar loop with hardware popcount enabled ----
     //
@@ -210,8 +388,12 @@ mod x86 {
     }
 
     #[target_feature(enable = "popcnt")]
-    fn and_count4_popcnt_impl(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        super::scalar::and_count4(query, rows)
+    fn score_block_popcnt_impl(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
+        super::scalar::score_block(rows, probes, out)
     }
 
     pub(super) fn and_count_portable(a: &[u64], b: &[u64]) -> usize {
@@ -220,9 +402,13 @@ mod x86 {
         unsafe { and_count_popcnt_impl(a, b) }
     }
 
-    pub(super) fn and_count4_portable(query: &[u64], rows: &[u64]) -> [usize; 4] {
+    pub(super) fn score_block_portable(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
         // SAFETY: as above — popcnt was detected at runtime.
-        unsafe { and_count4_popcnt_impl(query, rows) }
+        unsafe { score_block_popcnt_impl(rows, probes, out) }
     }
 
     // ---- avx2: Muła nibble-LUT popcount over 256-bit lanes ----
@@ -283,43 +469,92 @@ mod x86 {
         total
     }
 
+    /// Loads words `w..w + 4` of `row`, the lanes at or past `to` as 0.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    fn and_count4_avx2_impl(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        let stride = query.len();
+    fn load4_avx2(row: &[u64], w: usize, to: usize) -> __m256i {
+        let live = _mm256_set1_epi64x(to.saturating_sub(w).min(4) as i64);
+        let mask = _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(0, 1, 2, 3));
+        // SAFETY: every unmasked lane lies in w..to, and callers keep
+        // to <= row.len(); masked lanes are not accessed.
+        unsafe { _mm256_maskload_epi64(row.as_ptr().add(w.min(row.len())).cast::<i64>(), mask) }
+    }
+
+    /// One probe chunk against the same chunk of four rows, folded into
+    /// one register in a single combined reduction: each row's lane sums
+    /// go to one dword (rows 0 and 2 in the low dword of a lane, rows 1
+    /// and 3 in the high dword), so dword `j` of the result is row `j`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn sums4_avx2(p: __m256i, rows: [__m256i; 4]) -> __m128i {
+        let zero = _mm256_setzero_si256();
+        let count = |a: __m256i| _mm256_sad_epu8(popcnt_bytes_avx2(_mm256_and_si256(p, a)), zero);
+        let t01 = _mm256_or_si256(count(rows[0]), _mm256_slli_epi64::<32>(count(rows[1])));
+        let t23 = _mm256_or_si256(count(rows[2]), _mm256_slli_epi64::<32>(count(rows[3])));
+        let u = _mm256_add_epi64(
+            _mm256_unpacklo_epi64(t01, t23),
+            _mm256_unpackhi_epi64(t01, t23),
+        );
+        _mm_add_epi64(_mm256_castsi256_si128(u), _mm256_extracti128_si256::<1>(u))
+    }
+
+    /// Counts of `probe[from..to]` against the same words of the four
+    /// `stride`-word rows, as four dwords.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn count4_avx2(rows: &[u64], stride: usize, probe: &[u64], from: usize, to: usize) -> [u32; 4] {
         let (r0, rest) = rows.split_at(stride);
         let (r1, rest) = rest.split_at(stride);
         let (r2, r3) = rest.split_at(stride);
-        let zero = _mm256_setzero_si256();
-        let mut acc = [zero; 4];
-        let mut i = 0usize;
-        while i + 4 <= stride {
-            // SAFETY: i + 4 <= stride keeps all five 32-byte loads in
-            // bounds of their respective stride-length slices.
-            unsafe {
-                let q = _mm256_loadu_si256(query.as_ptr().add(i).cast());
-                for (lane, r) in [r0, r1, r2, r3].into_iter().enumerate() {
-                    let v = _mm256_and_si256(q, _mm256_loadu_si256(r.as_ptr().add(i).cast()));
-                    acc[lane] =
-                        _mm256_add_epi64(acc[lane], _mm256_sad_epu8(popcnt_bytes_avx2(v), zero));
+        let mut acc = _mm_setzero_si128();
+        let mut w = from;
+        while w < to {
+            let chunk = |row: &[u64]| load4_avx2(row, w, to);
+            let sums = sums4_avx2(chunk(probe), [chunk(r0), chunk(r1), chunk(r2), chunk(r3)]);
+            acc = _mm_add_epi32(acc, sums);
+            w += 4;
+        }
+        let mut counts = [0u32; 4];
+        add_counts(&mut counts, acc);
+        counts
+    }
+
+    /// The block scan. The prefix stage goes one 4-word chunk at a time:
+    /// the chunk of all four rows is loaded once and held in registers
+    /// while every probe is counted against it, and the prefix bound is
+    /// applied in-register on the last chunk. Probes with a surviving row
+    /// finish over the suffix in the shared second stage.
+    #[target_feature(enable = "avx2")]
+    fn score_block_avx2_impl(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
+        let stride = rows.len() / 4;
+        let split = super::prefix_words(stride);
+        let mut w = 0usize;
+        loop {
+            let last = w + 4 >= split;
+            let chunk = |j: usize| load4_avx2(&rows[j * stride..(j + 1) * stride], w, split);
+            let block = [chunk(0), chunk(1), chunk(2), chunk(3)];
+            for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+                let sums = sums4_avx2(load4_avx2(probe.words, w, split), block);
+                if w == 0 {
+                    hits.counts = [0; 4];
+                }
+                let prefix = add_counts(&mut hits.counts, sums);
+                if last {
+                    hits.scored = prefix_mask_sse(prefix, probe);
                 }
             }
-            i += 4;
+            if last {
+                break;
+            }
+            w += 4;
         }
-        let mut out = [
-            hsum_epi64_avx2(acc[0]),
-            hsum_epi64_avx2(acc[1]),
-            hsum_epi64_avx2(acc[2]),
-            hsum_epi64_avx2(acc[3]),
-        ];
-        while i < stride {
-            let q = query[i];
-            out[0] += (q & r0[i]).count_ones() as usize;
-            out[1] += (q & r1[i]).count_ones() as usize;
-            out[2] += (q & r2[i]).count_ones() as usize;
-            out[3] += (q & r3[i]).count_ones() as usize;
-            i += 1;
-        }
-        out
+        super::finish_block(probes, out, |probe| {
+            count4_avx2(rows, stride, probe, split, stride)
+        })
     }
 
     pub(super) fn and_count_avx2(a: &[u64], b: &[u64]) -> usize {
@@ -328,9 +563,13 @@ mod x86 {
         unsafe { and_count_avx2_impl(a, b) }
     }
 
-    pub(super) fn and_count4_avx2(query: &[u64], rows: &[u64]) -> [usize; 4] {
+    pub(super) fn score_block_avx2(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
         // SAFETY: as above — avx2 was detected at runtime.
-        unsafe { and_count4_avx2_impl(query, rows) }
+        unsafe { score_block_avx2_impl(rows, probes, out) }
     }
 
     // ---- avx512: native 64-bit-lane popcount (VPOPCNTDQ) ----
@@ -359,41 +598,95 @@ mod x86 {
         total
     }
 
+    /// Loads words `w..w + 8` of `row`, the lanes at or past `to` as 0.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn and_count4_avx512_impl(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        let stride = query.len();
+    fn load8_avx512(row: &[u64], w: usize, to: usize) -> __m512i {
+        let live = to.saturating_sub(w);
+        let mask: __mmask8 = if live >= 8 { 0xFF } else { (1u8 << live) - 1 };
+        // SAFETY: every unmasked lane lies in w..to, and callers keep
+        // to <= row.len(); masked lanes are not accessed.
+        unsafe { _mm512_maskz_loadu_epi64(mask, row.as_ptr().add(w.min(row.len())).cast()) }
+    }
+
+    /// One probe chunk against the same chunk of four rows, folded into
+    /// one register in a single combined reduction, as in the avx2 path.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn sums4_avx512(p: __m512i, rows: [__m512i; 4]) -> __m128i {
+        let count = |a: __m512i| _mm512_popcnt_epi64(_mm512_and_si512(p, a));
+        let t01 = _mm512_or_si512(count(rows[0]), _mm512_slli_epi64::<32>(count(rows[1])));
+        let t23 = _mm512_or_si512(count(rows[2]), _mm512_slli_epi64::<32>(count(rows[3])));
+        let u = _mm512_add_epi64(
+            _mm512_unpacklo_epi64(t01, t23),
+            _mm512_unpackhi_epi64(t01, t23),
+        );
+        let v = _mm256_add_epi64(_mm512_castsi512_si256(u), _mm512_extracti64x4_epi64::<1>(u));
+        _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v))
+    }
+
+    /// Counts of `probe[from..to]` against the same words of the four
+    /// `stride`-word rows, as four dwords.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn count4_avx512(
+        rows: &[u64],
+        stride: usize,
+        probe: &[u64],
+        from: usize,
+        to: usize,
+    ) -> [u32; 4] {
         let (r0, rest) = rows.split_at(stride);
         let (r1, rest) = rest.split_at(stride);
         let (r2, r3) = rest.split_at(stride);
-        let mut acc = [_mm512_setzero_si512(); 4];
-        let mut i = 0usize;
-        while i + 8 <= stride {
-            // SAFETY: i + 8 <= stride keeps all five 64-byte loads in
-            // bounds of their respective stride-length slices.
-            unsafe {
-                let q = _mm512_loadu_si512(query.as_ptr().add(i).cast());
-                for (lane, r) in [r0, r1, r2, r3].into_iter().enumerate() {
-                    let v = _mm512_and_si512(q, _mm512_loadu_si512(r.as_ptr().add(i).cast()));
-                    acc[lane] = _mm512_add_epi64(acc[lane], _mm512_popcnt_epi64(v));
+        let mut acc = _mm_setzero_si128();
+        let mut w = from;
+        while w < to {
+            let chunk = |row: &[u64]| load8_avx512(row, w, to);
+            let sums = sums4_avx512(chunk(probe), [chunk(r0), chunk(r1), chunk(r2), chunk(r3)]);
+            acc = _mm_add_epi32(acc, sums);
+            w += 8;
+        }
+        let mut counts = [0u32; 4];
+        add_counts(&mut counts, acc);
+        counts
+    }
+
+    /// The block scan, as in the avx2 path with 8-word chunks: the rows'
+    /// prefix chunk stays in registers across all probes, and each probe
+    /// costs one combined reduction per chunk (a single chunk for rows
+    /// of up to 16 words).
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn score_block_avx512_impl(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
+        let stride = rows.len() / 4;
+        let split = super::prefix_words(stride);
+        let mut w = 0usize;
+        loop {
+            let last = w + 8 >= split;
+            let chunk = |j: usize| load8_avx512(&rows[j * stride..(j + 1) * stride], w, split);
+            let block = [chunk(0), chunk(1), chunk(2), chunk(3)];
+            for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+                let sums = sums4_avx512(load8_avx512(probe.words, w, split), block);
+                if w == 0 {
+                    hits.counts = [0; 4];
+                }
+                let prefix = add_counts(&mut hits.counts, sums);
+                if last {
+                    hits.scored = prefix_mask_sse(prefix, probe);
                 }
             }
-            i += 8;
+            if last {
+                break;
+            }
+            w += 8;
         }
-        let mut out = [
-            _mm512_reduce_add_epi64(acc[0]) as usize,
-            _mm512_reduce_add_epi64(acc[1]) as usize,
-            _mm512_reduce_add_epi64(acc[2]) as usize,
-            _mm512_reduce_add_epi64(acc[3]) as usize,
-        ];
-        while i < stride {
-            let q = query[i];
-            out[0] += (q & r0[i]).count_ones() as usize;
-            out[1] += (q & r1[i]).count_ones() as usize;
-            out[2] += (q & r2[i]).count_ones() as usize;
-            out[3] += (q & r3[i]).count_ones() as usize;
-            i += 1;
-        }
-        out
+        super::finish_block(probes, out, |probe| {
+            count4_avx512(rows, stride, probe, split, stride)
+        })
     }
 
     pub(super) fn and_count_avx512(a: &[u64], b: &[u64]) -> usize {
@@ -402,9 +695,13 @@ mod x86 {
         unsafe { and_count_avx512_impl(a, b) }
     }
 
-    pub(super) fn and_count4_avx512(query: &[u64], rows: &[u64]) -> [usize; 4] {
+    pub(super) fn score_block_avx512(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
         // SAFETY: as above — avx512f + avx512vpopcntdq were detected.
-        unsafe { and_count4_avx512_impl(query, rows) }
+        unsafe { score_block_avx512_impl(rows, probes, out) }
     }
 }
 
@@ -416,6 +713,7 @@ mod x86 {
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
 mod arm {
+    use super::{BlockHits, BlockProbe, BlockTotals};
     use core::arch::aarch64::*;
 
     #[target_feature(enable = "neon")]
@@ -442,19 +740,23 @@ mod arm {
         total
     }
 
+    /// Counts of `probe[from..to]` against the same words of the four
+    /// `stride`-word rows, with one combined reduction: two pairwise adds
+    /// fold the four row accumulators into `[row0, row1]` and
+    /// `[row2, row3]`.
+    #[inline]
     #[target_feature(enable = "neon")]
-    fn and_count4_neon_impl(query: &[u64], rows: &[u64]) -> [usize; 4] {
-        let stride = query.len();
+    fn count4_neon(rows: &[u64], stride: usize, probe: &[u64], from: usize, to: usize) -> [u32; 4] {
         let (r0, rest) = rows.split_at(stride);
         let (r1, rest) = rest.split_at(stride);
         let (r2, r3) = rest.split_at(stride);
         let mut acc = [vdupq_n_u64(0); 4];
-        let mut i = 0usize;
-        while i + 2 <= stride {
-            // SAFETY: i + 2 <= stride keeps all five 16-byte loads in
-            // bounds of their respective stride-length slices.
+        let mut i = from;
+        while i + 2 <= to {
+            // SAFETY: i + 2 <= to <= stride keeps all five 16-byte loads
+            // in bounds of their stride-length slices.
             unsafe {
-                let q = vld1q_u64(query.as_ptr().add(i));
+                let q = vld1q_u64(probe.as_ptr().add(i));
                 for (lane, r) in [r0, r1, r2, r3].into_iter().enumerate() {
                     let v = vandq_u64(q, vld1q_u64(r.as_ptr().add(i)));
                     let cnt = vcntq_u8(vreinterpretq_u8_u64(v));
@@ -463,17 +765,42 @@ mod arm {
             }
             i += 2;
         }
-        let fold = |v: uint64x2_t| (vgetq_lane_u64(v, 0) + vgetq_lane_u64(v, 1)) as usize;
-        let mut out = [fold(acc[0]), fold(acc[1]), fold(acc[2]), fold(acc[3])];
-        while i < stride {
-            let q = query[i];
-            out[0] += (q & r0[i]).count_ones() as usize;
-            out[1] += (q & r1[i]).count_ones() as usize;
-            out[2] += (q & r2[i]).count_ones() as usize;
-            out[3] += (q & r3[i]).count_ones() as usize;
+        let s01 = vpaddq_u64(acc[0], acc[1]);
+        let s23 = vpaddq_u64(acc[2], acc[3]);
+        let mut out = [
+            vgetq_lane_u64(s01, 0) as u32,
+            vgetq_lane_u64(s01, 1) as u32,
+            vgetq_lane_u64(s23, 0) as u32,
+            vgetq_lane_u64(s23, 1) as u32,
+        ];
+        while i < to {
+            let q = probe[i];
+            out[0] += (q & r0[i]).count_ones();
+            out[1] += (q & r1[i]).count_ones();
+            out[2] += (q & r2[i]).count_ones();
+            out[3] += (q & r3[i]).count_ones();
             i += 1;
         }
         out
+    }
+
+    /// The block scan probe by probe (a 2-word chunk is too narrow to be
+    /// worth holding across probes), then the shared second stage.
+    #[target_feature(enable = "neon")]
+    fn score_block_neon_impl(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
+        let stride = rows.len() / 4;
+        let split = super::prefix_words(stride);
+        for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+            hits.counts = count4_neon(rows, stride, probe.words, 0, split);
+            hits.scored = super::prefix_mask(hits.counts, probe);
+        }
+        super::finish_block(probes, out, |probe| {
+            count4_neon(rows, stride, probe, split, stride)
+        })
     }
 
     pub(super) fn and_count_neon(a: &[u64], b: &[u64]) -> usize {
@@ -482,9 +809,13 @@ mod arm {
         unsafe { and_count_neon_impl(a, b) }
     }
 
-    pub(super) fn and_count4_neon(query: &[u64], rows: &[u64]) -> [usize; 4] {
+    pub(super) fn score_block_neon(
+        rows: &[u64],
+        probes: &[BlockProbe<'_>],
+        out: &mut [BlockHits],
+    ) -> BlockTotals {
         // SAFETY: as above — neon was detected at runtime.
-        unsafe { and_count4_neon_impl(query, rows) }
+        unsafe { score_block_neon_impl(rows, probes, out) }
     }
 }
 
@@ -495,7 +826,7 @@ mod arm {
 const SCALAR: Kernel = Kernel {
     name: "scalar",
     and_count: scalar::and_count,
-    and_count4: scalar::and_count4,
+    score_block: scalar::score_block,
 };
 
 /// Detect what this CPU supports, worst path first / best path last.
@@ -508,14 +839,14 @@ fn detect_kernels() -> Vec<Kernel> {
             v.push(Kernel {
                 name: "portable",
                 and_count: x86::and_count_portable,
-                and_count4: x86::and_count4_portable,
+                score_block: x86::score_block_portable,
             });
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             v.push(Kernel {
                 name: "avx2",
                 and_count: x86::and_count_avx2,
-                and_count4: x86::and_count4_avx2,
+                score_block: x86::score_block_avx2,
             });
         }
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -524,7 +855,7 @@ fn detect_kernels() -> Vec<Kernel> {
             v.push(Kernel {
                 name: "avx512",
                 and_count: x86::and_count_avx512,
-                and_count4: x86::and_count4_avx512,
+                score_block: x86::score_block_avx512,
             });
         }
     }
@@ -534,7 +865,7 @@ fn detect_kernels() -> Vec<Kernel> {
             v.push(Kernel {
                 name: "neon",
                 and_count: arm::and_count_neon,
-                and_count4: arm::and_count4_neon,
+                score_block: arm::score_block_neon,
             });
         }
     }
@@ -582,7 +913,7 @@ fn dispatch() -> &'static Dispatch {
     })
 }
 
-/// The kernel every [`and_count`] / [`and_count4`] call dispatches to.
+/// The kernel every [`and_count`] call and every scan dispatches to.
 /// Resolved once per process from CPU detection and `PPRL_KERNEL`.
 #[inline]
 pub fn active_kernel() -> Kernel {
@@ -678,8 +1009,17 @@ mod tests {
         }
     }
 
+    /// Full counts of one probe against a 4-row block, through
+    /// `kernel.score_block` with `cmin = 0` (every row admitted).
+    fn block_counts(kernel: &Kernel, query: &BitVec, flat: &[u64]) -> Vec<usize> {
+        let mut out = [BlockHits::default()];
+        kernel.score_block(flat, &[BlockProbe::new(query.as_words(), 0)], &mut out);
+        assert_eq!((out[0].scored, out[0].admitted), (0xF, 0xF));
+        out[0].counts.iter().map(|&c| c as usize).collect()
+    }
+
     #[test]
-    fn and_count4_matches_four_scalar_calls() {
+    fn score_block_at_zero_admission_matches_four_scalar_calls() {
         let mut rng = SplitMix64::new(0xB10C);
         for len in [64usize, 100, 1000] {
             let q = random_filter(len, 3, &mut rng);
@@ -688,7 +1028,7 @@ mod tests {
             for r in &rows {
                 flat.extend_from_slice(r.as_words());
             }
-            let got = and_count4(q.as_words(), &flat);
+            let got = block_counts(&active_kernel(), &q, &flat);
             for (i, r) in rows.iter().enumerate() {
                 assert_eq!(got[i], q.and_count(r), "len={len} row={i}");
             }
@@ -724,7 +1064,7 @@ mod tests {
                         k.name()
                     );
                     assert_eq!(
-                        k.and_count4(a.as_words(), &flat).to_vec(),
+                        block_counts(k, &a, &flat),
                         want4,
                         "kernel={} len={len} denom={denom}",
                         k.name()
@@ -758,11 +1098,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "and_count4")]
+    #[should_panic(expected = "score_block")]
     fn mismatched_stride_panics_in_release_too() {
         let q = [0u64; 4];
-        let rows = [0u64; 12]; // 3 rows, not 4
-        active_kernel().and_count4(&q, &rows);
+        let rows = [0u64; 12]; // 4 rows of 3 words, not of 4
+        let mut out = [BlockHits::default()];
+        active_kernel().score_block(&rows, &[BlockProbe::new(&q, 0)], &mut out);
     }
 
     #[test]
