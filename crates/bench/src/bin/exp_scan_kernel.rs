@@ -10,14 +10,19 @@
 //! 1. `scalar`: the per-record path the index used before the arena —
 //!    one `dice_bits(query, filter)` per heap-allocated `BitVec`, which
 //!    re-derives both popcounts on every call.
-//! 2. `unrolled`: the 4-accumulator `and_count` slice kernel over arena
-//!    rows, with popcounts read from the arena's side array.
-//! 3. `batched`: the multi-probe arena walk — each 4-row block is
+//! 2. `unrolled`: the 4-accumulator `and_count` slice kernel over
+//!    row-major rows in arena order, with popcounts read from the
+//!    arena's side array.
+//! 3. `batched`: the multi-probe arena walk — each 8-row tile is
 //!    loaded once and scored against the whole query batch in one
-//!    `score_block` call at admission count 0 (every row counted in
+//!    `score_tile` call at admission count 0 (every row counted in
 //!    full), so arena words are read once per batch instead of once per
 //!    query.
-//! 4. `bounded` (1000 bits only): the exact top-k scan the query engine
+//! 4. `single` (1000 bits only): one probe walked over a 20 000-row
+//!    arena (2.5 MB, resident in this host's L2) with `score_tile` at
+//!    admission count 0 — the kernel's own price per row, with no
+//!    batch to amortise the tile loads over.
+//! 5. `bounded` (1000 bits only): the exact top-k scan the query engine
 //!    runs, `IndexReader::top_k_batch` on a 32-probe batch at
 //!    `min_score 0.8`, and `bounded:top10`, a single top-10 probe. The
 //!    probes are population members with 50 bits flipped, so every one
@@ -28,6 +33,9 @@
 //!    full.
 //!
 //! Two further measurements ride along:
+//!
+//! Every row reports both throughput (rows/s, i.e. (probe, row) pairs
+//! per second) and its inverse in ns per pair.
 //!
 //! - **SIMD dispatch paths** (`simd:*` rows): the batched walk forced
 //!   through every kernel this host can run (`scalar`, `popcnt`-only
@@ -55,7 +63,7 @@ use pprl_index::store::{IndexConfig, IndexStore, ReadStats};
 use pprl_similarity::bitvec_sim::dice_bits;
 use pprl_similarity::kernel::{
     active_kernel, and_count, available_kernels, cpu_features, dice_from_counts, kernel_name,
-    BlockHits, BlockProbe, Kernel,
+    BlockHits, BlockProbe, Kernel, TILE_ROWS,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,7 +145,6 @@ fn fold(acc: u64, inter: usize, score: f64) -> u64 {
 /// Fold structure matches the dispatching `batched` loop in `main`
 /// exactly, so checksums are comparable across every path.
 fn batched_walk(arena: &FilterArena, queries: &[BitVec], kernel: Kernel) -> u64 {
-    let stride = arena.stride();
     let mut per_query = vec![0u64; queries.len()];
     let qmeta: Vec<(&[u64], usize)> = queries
         .iter()
@@ -148,30 +155,36 @@ fn batched_walk(arena: &FilterArena, queries: &[BitVec], kernel: Kernel) -> u64 
         .map(|&(qw, _)| BlockProbe::new(qw, 0))
         .collect();
     let mut hits = vec![BlockHits::default(); probes.len()];
-    let full = arena.len() / 4 * 4;
-    let mut i = 0;
-    while i < full {
-        let block = &arena.words()[i * stride..(i + 4) * stride];
-        kernel.score_block(block, &probes, &mut hits);
+    for t in 0..arena.tiles() {
+        let first = t * TILE_ROWS;
+        let rows = TILE_ROWS.min(arena.len() - first);
+        kernel.score_tile(arena.tile(t), rows, &probes, &mut hits);
         for (qi, (&(_, q), h)) in qmeta.iter().zip(&hits).enumerate() {
-            for (lane, &inter) in h.counts.iter().enumerate() {
+            for (lane, &inter) in h.counts[..rows].iter().enumerate() {
                 let inter = inter as usize;
-                let score = dice_from_counts(inter, q, arena.popcount(i + lane) as usize);
+                let score = dice_from_counts(inter, q, arena.popcount(first + lane) as usize);
                 per_query[qi] = fold(per_query[qi], inter, score);
             }
-        }
-        i += 4;
-    }
-    for row in full..arena.len() {
-        for (qi, &(qw, q)) in qmeta.iter().enumerate() {
-            let inter = kernel.and_count(qw, arena.row(row));
-            let score = dice_from_counts(inter, q, arena.popcount(row) as usize);
-            per_query[qi] = fold(per_query[qi], inter, score);
         }
     }
     per_query.into_iter().fold(0u64, |acc, s| {
         acc.wrapping_mul(0x1_0000_01B3).wrapping_add(s)
     })
+}
+
+/// The `single` row: one probe over every tile of `arena` at admission
+/// count 0, summing the counts — the tile kernel alone, with nothing
+/// around it to share its cost.
+fn single_walk(arena: &FilterArena, probe: &BitVec, kernel: Kernel) -> u64 {
+    let probes = [BlockProbe::new(probe.as_words(), 0)];
+    let mut hits = [BlockHits::default()];
+    let mut sum = 0u64;
+    for t in 0..arena.tiles() {
+        let rows = TILE_ROWS.min(arena.len() - t * TILE_ROWS);
+        kernel.score_tile(arena.tile(t), rows, &probes, &mut hits);
+        sum += hits[0].counts.iter().map(|&c| u64::from(c)).sum::<u64>();
+    }
+    sum
 }
 
 /// Exact top-k by brute force: every record scored with `dice_bits`,
@@ -217,6 +230,21 @@ fn row_counters(label: &str, stats: &ReadStats) -> Json {
         ),
         ("scored".into(), Json::num(stats.rows_scored as f64)),
     ])
+}
+
+/// The `single` row: one probe against the first 20 000 records (all of
+/// them in a smoke run), as a tiled arena that stays cache-resident,
+/// checked against `and_count` row by row before timing.
+fn measure_single(records: &[(u64, BitVec)], probe: &BitVec, reps: usize) -> (String, f64, f64) {
+    const ROWS: usize = 20_000;
+    let records = records[..ROWS.min(records.len())].to_vec();
+    let bits = probe.len();
+    let want: u64 = records.iter().map(|(_, f)| probe.and_count(f) as u64).sum();
+    let arena = FilterArena::from_records(records, bits).expect("arena");
+    let kernel = active_kernel();
+    let (t, sum) = run_timed(|| single_walk(&arena, probe, kernel), reps * 20);
+    assert_eq!(sum, want, "single-probe tile walk diverged from and_count");
+    ("single".to_string(), t, arena.len() as f64)
 }
 
 /// The `bounded` rows: the query engine's exact scan on a 4-shard
@@ -432,7 +460,7 @@ fn main() {
         kernel_name()
     );
 
-    let mut table = Table::new(&["bits", "kernel", "time", "rows/s (M)", "speedup"]);
+    let mut table = Table::new(&["bits", "kernel", "time", "rows/s (M)", "ns/pair", "speedup"]);
     let mut summary_rows = Vec::new();
     let mut speedup_at_1000 = 0.0f64;
     let mut scalar_batched_rows_at_1000 = 0.0f64;
@@ -474,15 +502,16 @@ fn main() {
             reps,
         );
 
-        // 2. unrolled: slice kernel over arena rows, popcounts pre-read.
+        // 2. unrolled: slice kernel over row-major rows in arena order,
+        // popcounts read from the arena.
         let (unrolled_secs, unrolled_sum) = run_timed(
             || {
                 let mut acc = 0u64;
                 for query in &queries {
                     let qw = query.as_words();
                     let q = query.count_ones();
-                    for i in 0..arena.len() {
-                        let inter = and_count(qw, arena.row(i));
+                    for (i, (_, f)) in ordered.iter().enumerate() {
+                        let inter = and_count(qw, f.as_words());
                         let score = dice_from_counts(inter, q, arena.popcount(i) as usize);
                         acc = fold(acc, inter, score);
                     }
@@ -492,10 +521,10 @@ fn main() {
             reps,
         );
 
-        // 3. batched: each 4-row block read once for the whole query
-        // batch; tail rows fall back to the unrolled kernel. Fold order
-        // must match the scalar loop (query-major), so per-query
-        // accumulators merge after the block walk.
+        // 3. batched: each 8-row tile read once for the whole query
+        // batch; the last tile is partial. Fold order must match the
+        // scalar loop (query-major), so per-query accumulators merge
+        // after the tile walk.
         let (batched_secs, batched_sum) =
             run_timed(|| batched_walk(&arena, &queries, active_kernel()), reps);
         assert_eq!(
@@ -537,6 +566,7 @@ fn main() {
         .map(|(name, t)| (name, t, comparisons))
         .collect();
         if bits == 1000 {
+            rows.push(measure_single(&records, &queries[0], reps));
             let (timed, counters) = measure_bounded(&records, &mut rng, reps);
             rows.extend(timed);
             bounded = counters;
@@ -554,12 +584,14 @@ fn main() {
                 kernel.clone(),
                 secs(t),
                 format!("{:.1}", rate / 1e6),
+                format!("{:.2}", 1e9 / rate),
                 format!("{speedup:.2}x"),
             ]);
             summary_rows.push(Json::Obj(vec![
                 ("bits".into(), Json::num(bits as f64)),
                 ("kernel".into(), Json::str(&kernel)),
                 ("rows_per_sec".into(), Json::Num(rate)),
+                ("ns_per_pair".into(), Json::Num(1e9 / rate)),
                 ("speedup_vs_scalar".into(), Json::Num(speedup)),
             ]));
         }

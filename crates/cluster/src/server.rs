@@ -17,8 +17,9 @@
 use crate::coordinator::Coordinator;
 use pprl_core::error::{PprlError, Result};
 use pprl_server::pool::BoundedQueue;
-use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response};
+use pprl_server::wire::{read_payload, write_payload, Incoming, Request, Response, MAX_PAYLOAD};
 use pprl_session::channel::{IncomingRef, SESSION_WIRE_VERSION};
+use pprl_session::frame::{read_payload_capped, MAX_HANDSHAKE_PAYLOAD};
 use pprl_session::handshake::{server_handshake, ServerSession};
 use pprl_session::keys::entropy_rng;
 use pprl_session::registry::AuthRegistry;
@@ -291,11 +292,16 @@ fn worker_loop(queue: &BoundedQueue<TcpStream>, context: &ClusterContext) {
 /// request (only accepted when it does not).
 fn handle_session(mut stream: TcpStream, context: &ClusterContext) {
     let mut idle = Duration::ZERO;
+    // Before the handshake only a HELLO-sized frame is accepted.
+    let cap = match context.registry {
+        Some(_) => MAX_HANDSHAKE_PAYLOAD,
+        None => MAX_PAYLOAD,
+    };
     let first = loop {
         if context.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_payload(&mut stream) {
+        match read_payload_capped(&mut stream, cap) {
             Ok(Incoming::TimedOut) => {
                 idle += POLL_INTERVAL;
                 if idle >= context.idle_timeout {

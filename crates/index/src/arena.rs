@@ -1,26 +1,38 @@
 //! Columnar filter arena: one shard slot's filters as a flat word array.
 //!
 //! Instead of a `Vec<BitVec>` (one heap allocation and pointer chase per
-//! record), an arena stores every filter back-to-back in a single
-//! contiguous `Vec<u64>` with a fixed words-per-filter `stride`, plus
-//! parallel `ids` and `popcounts` arrays. Rows are sorted ascending by
+//! record), an arena stores every filter in a single contiguous
+//! `Vec<u64>` with a fixed words-per-filter `stride`, plus parallel
+//! `ids` and `popcounts` arrays. Rows are sorted ascending by
 //! `(popcount, id)`, so any contiguous row range supports the same
 //! popcount-based Dice upper-bound reasoning as the old per-record
-//! layout, and the scan kernel walks memory strictly linearly. Row `i`'s
-//! words are `words[i * stride .. (i + 1) * stride]`; four consecutive
-//! rows form one block for the block-scan kernel
-//! (`pprl_similarity::kernel::Kernel::score_block`), which scores a
-//! block against every live query in one call. Within a block it reads
-//! each row in two halves: the prefix (the first `stride / 2` words)
-//! for every row, and the suffix only for rows whose prefix count can
-//! still reach the query's admission count. Because rows ascend by
-//! popcount, a block's first popcount bounds the admission count of
-//! all four rows, and a query's popcount window is a contiguous row
-//! range.
+//! layout.
+//!
+//! # Tiles
+//!
+//! The words are laid out in *tiles* of [`TILE_ROWS`] = 8 consecutive
+//! rows, word-major inside a tile: word `w` of rows `8t..8t + 8` is
+//! `words[t * 8 * stride + w * 8..][..8]`. A tile is exactly the input
+//! of the scan kernel (`pprl_similarity::kernel::Kernel::score_tile`),
+//! which ANDs each tile word with one broadcast probe word and popcounts
+//! all eight rows into eight per-row counters at once. The kernel reads
+//! the first `stride / 2` words of a tile (every row's prefix) and the
+//! rest only for probes whose prefix count can still reach the query's
+//! admission count. Because rows ascend by popcount, a tile's first
+//! popcount bounds the admission count of all eight rows, and a query's
+//! popcount window is a contiguous row range. The last tile is padded
+//! with zero rows; the scan masks the padding lanes off.
+//!
+//! A tile occupies the same words whether it is stored row-major or
+//! word-major, so [`ArenaBuilder::finish`] transposes each 8-row span in
+//! place and the arena is never held twice. Reading one row back
+//! ([`FilterArena::row_into`]) is a strided gather; only segment
+//! encoding, compaction and band-key summaries need it.
 
 use crate::format::storage_err;
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::Result;
+pub use pprl_similarity::kernel::TILE_ROWS;
 
 /// A popcount-sorted, flat columnar store of equal-length filters.
 #[derive(Debug, Default)]
@@ -29,7 +41,8 @@ pub struct FilterArena {
     stride: usize,
     /// Filter length in bits.
     filter_len: usize,
-    /// All filter words, row-major: row `i` at `i*stride..(i+1)*stride`.
+    /// All filter words in 8-row word-major tiles (see the module docs),
+    /// the last tile zero-padded to 8 rows.
     words: Vec<u64>,
     /// Record ids, parallel to rows.
     ids: Vec<u64>,
@@ -68,16 +81,26 @@ impl FilterArena {
         self.filter_len
     }
 
-    /// Row `i`'s filter words.
+    /// Number of tiles (`len` rows rounded up to whole tiles).
     #[inline]
-    pub fn row(&self, i: usize) -> &[u64] {
-        &self.words[i * self.stride..(i + 1) * self.stride]
+    pub fn tiles(&self) -> usize {
+        self.len().div_ceil(TILE_ROWS)
     }
 
-    /// The whole word array (row-major).
+    /// Tile `t`: rows `8t..8t + 8`, word-major (`8 * stride` words).
     #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    pub fn tile(&self, t: usize) -> &[u64] {
+        let span = TILE_ROWS * self.stride;
+        &self.words[t * span..(t + 1) * span]
+    }
+
+    /// Gathers row `i`'s filter words into `out` (`stride` words).
+    pub fn row_into(&self, i: usize, out: &mut [u64]) {
+        assert_eq!(out.len(), self.stride, "row_into: buffer is not one stride");
+        let tile = self.tile(i / TILE_ROWS);
+        for (word, lanes) in out.iter_mut().zip(tile.chunks_exact(TILE_ROWS)) {
+            *word = lanes[i % TILE_ROWS];
+        }
     }
 
     /// Record id of row `i`.
@@ -115,7 +138,9 @@ impl FilterArena {
 
     /// Reconstructs row `i` as an owned `(id, BitVec)` pair.
     pub fn get(&self, i: usize) -> Result<(u64, BitVec)> {
-        let filter = BitVec::from_words(self.row(i).to_vec(), self.filter_len)?;
+        let mut words = vec![0u64; self.stride];
+        self.row_into(i, &mut words);
+        let filter = BitVec::from_words(words, self.filter_len)?;
         Ok((self.ids[i], filter))
     }
 }
@@ -128,8 +153,9 @@ impl FilterArena {
 /// k-way merge that pushes rows in key order pays nothing.
 ///
 /// The builder doubles as the store's columnar `pending` buffer: it
-/// preserves insertion order until `finish`, and exposes row accessors
-/// so the WAL image and per-shard flush can iterate it in place.
+/// keeps rows row-major in insertion order until `finish`, and exposes
+/// row accessors so the WAL image and per-shard flush can iterate it in
+/// place. `finish` converts to the arena's tiles.
 ///
 /// [`finish`]: ArenaBuilder::finish
 #[derive(Debug)]
@@ -149,13 +175,14 @@ impl ArenaBuilder {
         ArenaBuilder::with_capacity(filter_len, 0)
     }
 
-    /// An empty builder preallocated for `rows` rows.
+    /// An empty builder preallocated for `rows` rows (rounded up to
+    /// whole tiles, so a sorted `finish` pads and transposes in place).
     pub fn with_capacity(filter_len: usize, rows: usize) -> ArenaBuilder {
         let stride = BitVec::words_for_len(filter_len);
         ArenaBuilder {
             stride,
             filter_len,
-            words: Vec::with_capacity(rows * stride),
+            words: Vec::with_capacity(rows.next_multiple_of(TILE_ROWS) * stride),
             ids: Vec::with_capacity(rows),
             popcounts: Vec::with_capacity(rows),
             sorted: true,
@@ -275,35 +302,52 @@ impl ArenaBuilder {
         Ok((self.ids[i], filter))
     }
 
-    /// Finalises into a popcount-sorted [`FilterArena`]. When rows were
-    /// pushed already sorted by `(popcount, id)` — the k-way merge and
-    /// sorted-segment decode cases — this is a move with no copying; the
-    /// sort (stable, so duplicate keys keep insertion order) runs only
-    /// for genuinely unordered input.
+    /// Finalises into a popcount-sorted, tiled [`FilterArena`]. When
+    /// rows were pushed already sorted by `(popcount, id)` — the k-way
+    /// merge and sorted-segment decode cases — the word array is padded
+    /// to whole tiles and each tile is transposed in place, through one
+    /// tile of scratch; the sort (stable, so duplicate keys keep
+    /// insertion order) and its permuted copy run only for genuinely
+    /// unordered input, which is scattered straight into tiles.
     pub fn finish(self) -> FilterArena {
-        if self.sorted {
-            return FilterArena {
-                stride: self.stride,
-                filter_len: self.filter_len,
-                words: self.words,
-                ids: self.ids,
-                popcounts: self.popcounts,
-            };
-        }
-        let mut order: Vec<u32> = (0..self.ids.len() as u32).collect();
-        order.sort_by_key(|&i| (self.popcounts[i as usize], self.ids[i as usize], i));
-        let mut words = Vec::with_capacity(self.words.len());
-        let mut ids = Vec::with_capacity(self.ids.len());
-        let mut popcounts = Vec::with_capacity(self.popcounts.len());
-        for &i in &order {
-            let i = i as usize;
-            words.extend_from_slice(&self.words[i * self.stride..(i + 1) * self.stride]);
-            ids.push(self.ids[i]);
-            popcounts.push(self.popcounts[i]);
+        let ArenaBuilder {
+            stride,
+            filter_len,
+            mut words,
+            mut ids,
+            mut popcounts,
+            sorted,
+        } = self;
+        let tiled_len = ids.len().next_multiple_of(TILE_ROWS) * stride;
+        if sorted {
+            words.resize(tiled_len, 0);
+            let mut scratch = vec![0u64; TILE_ROWS * stride];
+            for tile in words.chunks_exact_mut(TILE_ROWS * stride) {
+                scratch.copy_from_slice(tile);
+                for (w, lanes) in tile.chunks_exact_mut(TILE_ROWS).enumerate() {
+                    for (j, word) in lanes.iter_mut().enumerate() {
+                        *word = scratch[j * stride + w];
+                    }
+                }
+            }
+        } else {
+            let mut order: Vec<u32> = (0..ids.len() as u32).collect();
+            order.sort_by_key(|&i| (popcounts[i as usize], ids[i as usize], i));
+            let mut tiled = vec![0u64; tiled_len];
+            for (r, &i) in order.iter().enumerate() {
+                let i = i as usize;
+                let base = (r / TILE_ROWS) * TILE_ROWS * stride + r % TILE_ROWS;
+                for (w, &word) in words[i * stride..(i + 1) * stride].iter().enumerate() {
+                    tiled[base + w * TILE_ROWS] = word;
+                }
+            }
+            words = tiled;
+            ids = order.iter().map(|&i| ids[i as usize]).collect();
+            popcounts = order.iter().map(|&i| popcounts[i as usize]).collect();
         }
         FilterArena {
-            stride: self.stride,
-            filter_len: self.filter_len,
+            stride,
+            filter_len,
             words,
             ids,
             popcounts,
@@ -335,7 +379,8 @@ mod tests {
         let arena = FilterArena::from_records(records.clone(), 100).unwrap();
         assert_eq!(arena.len(), 60);
         assert_eq!(arena.stride(), 2);
-        assert_eq!(arena.words().len(), 120);
+        assert_eq!(arena.tiles(), 8);
+        assert_eq!(arena.tile(7).len(), 16);
         let mut prev = (0u32, 0u64);
         let mut seen = std::collections::HashSet::new();
         for i in 0..arena.len() {
@@ -380,11 +425,59 @@ mod tests {
             sorted.push_filter(*id, f).unwrap();
         }
         for arena in [unsorted.finish(), sorted.finish()] {
-            assert_eq!(arena.words(), oracle.words());
+            assert_eq!(arena.tiles(), oracle.tiles());
+            for t in 0..arena.tiles() {
+                assert_eq!(arena.tile(t), oracle.tile(t), "tile {t}");
+            }
             assert_eq!(arena.popcounts(), oracle.popcounts());
             assert_eq!(arena.len(), oracle.len());
             for i in 0..arena.len() {
                 assert_eq!(arena.id(i), oracle.id(i));
+            }
+        }
+    }
+
+    /// The word-major tile layout against the definition, for row
+    /// counts on both sides of whole tiles: word `w` of row `i` sits at
+    /// `tile(i / 8)[8w + i % 8]`, padding lanes are zero, and `row_into`
+    /// and `get` give back every pushed row, from sorted and unsorted
+    /// builders alike.
+    #[test]
+    fn tiles_are_word_major_and_round_trip_every_row() {
+        for n in 0..=17usize {
+            for len in [1usize, 64, 100, 320] {
+                let records = random_records(n, len, 7 + n as u64);
+                let mut sorted_recs = records.clone();
+                sorted_recs.sort_by_key(|(id, f)| (f.count_ones(), *id));
+                let mut unsorted = ArenaBuilder::new(len);
+                for (id, f) in &records {
+                    unsorted.push_filter(*id, f).unwrap();
+                }
+                let mut sorted = ArenaBuilder::with_capacity(len, n);
+                for (id, f) in &sorted_recs {
+                    sorted.push_filter(*id, f).unwrap();
+                }
+                for arena in [unsorted.finish(), sorted.finish()] {
+                    let stride = arena.stride();
+                    assert_eq!(arena.len(), n);
+                    assert_eq!(arena.tiles(), n.div_ceil(TILE_ROWS));
+                    let mut row = vec![0u64; stride];
+                    for (i, (id, filter)) in sorted_recs.iter().enumerate() {
+                        let tile = arena.tile(i / TILE_ROWS);
+                        for (w, &word) in filter.as_words().iter().enumerate() {
+                            assert_eq!(tile[w * TILE_ROWS + i % TILE_ROWS], word, "n={n} row {i}");
+                        }
+                        arena.row_into(i, &mut row);
+                        assert_eq!(row, filter.as_words(), "n={n} len={len} row {i}");
+                        assert_eq!(arena.get(i).unwrap(), (*id, filter.clone()));
+                    }
+                    for i in n..arena.tiles() * TILE_ROWS {
+                        let tile = arena.tile(i / TILE_ROWS);
+                        for w in 0..stride {
+                            assert_eq!(tile[w * TILE_ROWS + i % TILE_ROWS], 0, "padding lane {i}");
+                        }
+                    }
+                }
             }
         }
     }

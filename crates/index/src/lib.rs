@@ -27,14 +27,15 @@
 //! `pprl-blocking`), which keeps Hamming-similar filters co-located.
 //! In memory each segment is a columnar [`arena::FilterArena`]: one
 //! flat fixed-stride `Vec<u64>` of filter words sorted by `(popcount,
-//! id)`, with parallel id and popcount arrays — scanned by the unrolled
-//! slice kernels in `pprl-similarity` (4-row blocks score a whole query
-//! batch per block load). Queries answer exact top-k Dice similarity:
-//! segments whose popcount range or band-key Bloom summary (manifest
-//! v3) proves a score ceiling below the running k-th score are skipped
-//! — and with [`store::IndexStore::lazy_reader`] never even read from
-//! disk — while surviving arenas are walked with per-block Dice
-//! upper-bound cutoffs `2·min(q,x)/(q+x)`. All pruning is lossless:
+//! id)` and stored as 8-row word-major tiles, with parallel id and
+//! popcount arrays — scanned by the tile kernel in `pprl-similarity`
+//! (one tile load scores eight rows against a whole query batch).
+//! Queries answer exact top-k Dice similarity: segments whose popcount
+//! range or band-key Bloom summary (manifest v3) proves a score ceiling
+//! below the running k-th score are skipped — and with
+//! [`store::IndexStore::lazy_reader`] never even read from disk — while
+//! surviving arenas are walked with per-tile Dice upper-bound cutoffs
+//! `2·min(q,x)/(q+x)`. All pruning is lossless:
 //! results are bit-exact against a brute-force scan. Slots are split
 //! into sub-ranges and fanned out over `std::thread::scope` workers.
 //!

@@ -2,11 +2,12 @@
 //! kernel.
 //!
 //! The reader is a list of *slots*, each one popcount-sorted
-//! [`FilterArena`] (flat `Vec<u64>`, fixed stride, parallel id/popcount
-//! arrays). A slot is either memory-resident from construction or backed
-//! by a segment file that is materialised lazily, on first scan, under a
-//! per-reader load lock — so segments pruned for every query of a
-//! batch are never read at all.
+//! [`FilterArena`] (flat `Vec<u64>` of 8-row word-major tiles, fixed
+//! stride, parallel id/popcount arrays). A slot is either
+//! memory-resident from construction or backed by a segment file that
+//! is materialised lazily, on first scan, under a per-reader load lock
+//! — so segments pruned for every query of a batch are never read at
+//! all.
 //!
 //! Four pruning layers keep the scan lossless (results are bit-identical
 //! to brute force over the same `dice_bits` arithmetic). Each query
@@ -22,26 +23,28 @@
 //!    record is at least `tables`, capping Dice at
 //!    [`no_match_dice_bound`] (see [`crate::summary`]).
 //! 3. **Popcount window** — each query keeps the integer window
-//!    `[x_lo, x_hi]` of popcounts whose bound `ub` reaches θ. A 4-row
-//!    block wholly outside it is skipped before its words are touched,
-//!    and once a block's first popcount passes `x_hi` the query is done
+//!    `[x_lo, x_hi]` of popcounts whose bound `ub` reaches θ. An 8-row
+//!    tile wholly outside it is skipped before its words are touched,
+//!    and once a tile's first popcount passes `x_hi` the query is done
 //!    with the rest of the (popcount-ascending) range.
 //! 4. **Prefix bound** — each query also keeps the admission count
 //!    `cmin(θ, q, x)`, the least intersection count `c` whose exact Dice
 //!    `2c/(q+x)` reaches θ. `cmin` is non-decreasing in `x` (a larger
-//!    denominator needs a larger count), so `cmin` at a block's first
-//!    popcount holds for the whole block. The kernel
-//!    ([`pprl_similarity::kernel::Kernel::score_block`]) counts the first
-//!    half of each row's words
-//!    and drops the row when `c_prefix + q_suffix < cmin`. This is sound
-//!    because the rest of the row can add at most the popcount of the
-//!    query's own suffix: `c ≤ c_prefix + q_suffix`. Survivors are
-//!    counted in full, and only rows with `c ≥ cmin` reach the f64 Dice
-//!    and the accumulator.
+//!    denominator needs a larger count), so `cmin` at a tile's first
+//!    popcount holds for the whole tile. The kernel
+//!    ([`pprl_similarity::kernel::Kernel::score_tile`]) counts the first
+//!    half of the words of all eight rows of the tile at once, into one
+//!    vector of per-row counters, and drops a row when
+//!    `c_prefix + q_suffix < cmin` — one vector compare per tile. This
+//!    is sound because the rest of the row can add at most the popcount
+//!    of the query's own suffix: `c ≤ c_prefix + q_suffix`. Survivors
+//!    are counted in full, and only rows with `c ≥ cmin` reach the f64
+//!    Dice and the accumulator.
 //!
 //! The window and `cmin` are recomputed in O(1) — a closed form plus an
 //! exact ±1 fix against the same f64 expressions the scores use — only
-//! when θ changes (and `cmin` also when a block's first popcount does).
+//! when θ changes (and `cmin` also when a tile's first popcount does),
+//! so this bookkeeping runs at most once per eight rows.
 //! A skip needs `bound < θ` *strictly*, and admission is `c ≥ cmin` —
 //! candidates tying the k-th score must still be scored because ties
 //! break by ascending id.
@@ -53,11 +56,12 @@
 //! merge at the end. Single queries ([`IndexReader::top_k`]) and batches
 //! ([`IndexReader::top_k_batch`], which `pprl link --backend index`, the
 //! server's `Link`, and index-backed dedup call) run the same loop: each
-//! arena block is loaded once and scored against every live query of
+//! arena tile is loaded once and scored against every live query of
 //! the batch in one dispatched kernel call (the CPU-feature path is
-//! resolved once per process; see the kernel module docs).
+//! resolved once per process; see the kernel module docs). Tasks start
+//! on tile boundaries.
 
-use crate::arena::FilterArena;
+use crate::arena::{FilterArena, TILE_ROWS};
 use crate::format::storage_err;
 use crate::segment::read_segment_arena_with;
 use crate::store::ReadStats;
@@ -65,7 +69,7 @@ use crate::summary::{band_keys, no_match_dice_bound, BandKeySummary};
 use crate::vfs::{std_vfs, Vfs};
 use pprl_core::bitvec::BitVec;
 use pprl_core::error::{PprlError, Result};
-use pprl_similarity::kernel::{active_kernel, dice_from_counts, BlockHits, BlockProbe};
+use pprl_similarity::kernel::{active_kernel, dice_from_counts, prefetch, BlockHits, BlockProbe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -406,12 +410,13 @@ impl IndexReader {
     }
 
     /// Exact top-k for a whole batch of queries in one pass: every arena
-    /// block is loaded once and scored against all still-live queries
-    /// in one [`pprl_similarity::kernel::Kernel::score_block`] call. With `min_score`, hits below
-    /// it are dropped from the results — equivalently (and bit-for-bit
-    /// identically), the top k among hits scoring at least `min_score` —
-    /// which lets slots whose upper bound cannot reach `min_score` be
-    /// skipped without ever materialising them.
+    /// tile is loaded once and scored against all still-live queries in
+    /// one [`pprl_similarity::kernel::Kernel::score_tile`] call. With
+    /// `min_score`, hits below it are dropped from the results —
+    /// equivalently (and bit-for-bit identically), the top k among hits
+    /// scoring at least `min_score` — which lets slots whose upper bound
+    /// cannot reach `min_score` be skipped without ever materialising
+    /// them.
     pub fn top_k_batch(
         &self,
         queries: &[&BitVec],
@@ -558,21 +563,20 @@ impl IndexReader {
             return Ok(());
         }
         let arena = self.arena(slot)?;
-        let stride = arena.stride();
-        let words = arena.words();
         // One dispatch-table fetch per task.
         let kernel = active_kernel();
         let mut tally = RowTally::default();
-        // The live list depends only on the block's popcounts and the
+        // The live list depends only on the tile's popcounts and the
         // queries' thresholds, so it is rebuilt only when one changes.
         let mut live_for = None;
+        debug_assert!(start.is_multiple_of(TILE_ROWS), "tasks start on a tile");
         let mut i = start;
         while i < end && !scratch.active.is_empty() {
-            let block_end = end.min(i + 4);
-            let n = block_end - i;
+            let tile_end = end.min(i + TILE_ROWS);
+            let n = tile_end - i;
             let xs = (
                 arena.popcount(i) as usize,
-                arena.popcount(block_end - 1) as usize,
+                arena.popcount(tile_end - 1) as usize,
             );
             if live_for != Some(xs) {
                 live_for = Some(xs);
@@ -580,38 +584,27 @@ impl IndexReader {
             }
             tally.window_pruned += ((scratch.active.len() - scratch.live.len()) * n) as u64;
             if scratch.live.is_empty() {
-                i = block_end;
+                i = tile_end;
                 continue;
             }
-            let block = &words[i * stride..block_end * stride];
-            let rows = if n == 4 {
-                block
-            } else {
-                // A short last block is scored zero-padded; the padding
-                // lanes are masked off below.
-                scratch.tail.clear();
-                scratch.tail.extend_from_slice(block);
-                scratch.tail.resize(4 * stride, 0);
-                &scratch.tail
-            };
-            let totals = kernel.score_block(rows, &scratch.probes, &mut scratch.hits);
-            let lanes = (1u8 << n) - 1;
-            if n == 4 {
-                tally.scored += u64::from(totals.scored);
-                tally.prefix_rejected += (4 * scratch.live.len()) as u64 - u64::from(totals.scored);
-                if totals.admitted == 0 {
-                    i = block_end;
-                    continue;
-                }
+            // Start the memory stream a few tiles ahead of the kernel.
+            let ahead = i + PREFETCH_TILES * TILE_ROWS;
+            if ahead < end {
+                prefetch(arena.tile(ahead / TILE_ROWS));
+            }
+            // Lanes past `n` (the last tile's zero padding) are never
+            // scored or admitted.
+            let tile = arena.tile(i / TILE_ROWS);
+            let totals = kernel.score_tile(tile, n, &scratch.probes, &mut scratch.hits);
+            tally.scored += u64::from(totals.scored);
+            tally.prefix_rejected += (n * scratch.live.len()) as u64 - u64::from(totals.scored);
+            if totals.admitted == 0 {
+                i = tile_end;
+                continue;
             }
             for (li, &qi) in scratch.live.iter().enumerate() {
                 let hits = scratch.hits[li];
-                if n < 4 {
-                    let scored = u64::from((hits.scored & lanes).count_ones());
-                    tally.scored += scored;
-                    tally.prefix_rejected += n as u64 - scored;
-                }
-                let mut admitted = hits.admitted & lanes;
+                let mut admitted = hits.admitted;
                 if admitted == 0 {
                     continue;
                 }
@@ -635,7 +628,7 @@ impl IndexReader {
                     live_for = None;
                 }
             }
-            i = block_end;
+            i = tile_end;
         }
         self.rows.fold(&tally);
         Ok(())
@@ -645,7 +638,8 @@ impl IndexReader {
     /// scales with the total record count (oversubscribed 4× so workers
     /// stay busy despite uneven pruning) but never drops below
     /// [`MIN_SPLIT`], so tiny slots are not shredded into per-record
-    /// tasks. With one worker this degenerates to one task per slot.
+    /// tasks, and is a whole number of tiles, so every task starts on a
+    /// tile. With one worker this degenerates to one task per slot.
     ///
     /// `order` is the optional slot-visiting hint from
     /// [`IndexReader::popcount_scan_order`]: tasks are emitted (and thus
@@ -673,7 +667,9 @@ impl IndexReader {
         let chunk = if workers <= 1 {
             usize::MAX
         } else {
-            MIN_SPLIT.max(total.div_ceil(workers * 4))
+            MIN_SPLIT
+                .max(total.div_ceil(workers * 4))
+                .next_multiple_of(TILE_ROWS)
         };
         let mut tasks = Vec::new();
         for si in visit {
@@ -710,22 +706,20 @@ struct Scratch<'q> {
     admission: Vec<Admission>,
     /// Queries still scanning the current task.
     active: Vec<usize>,
-    /// Queries live on the current block, with their kernel inputs.
+    /// Queries live on the current tile, with their kernel inputs.
     live: Vec<usize>,
     probes: Vec<BlockProbe<'q>>,
     /// Kernel output, one entry per live query.
     hits: Vec<BlockHits>,
-    /// Zero-padded copy of a task's short last block.
-    tail: Vec<u64>,
 }
 
 impl<'q> Scratch<'q> {
-    /// Rebuilds the live list for a block whose first and last popcounts
+    /// Rebuilds the live list for a tile whose first and last popcounts
     /// are `xs`, with `rest` rows left in the task: a query past its
     /// window's upper end is done with the task (its remaining pairs
     /// count as window-pruned); one below its window's lower end sits
-    /// this block out; the rest are live, at their admission count for
-    /// the block's first popcount.
+    /// this tile out; the rest are live, at their admission count for
+    /// the tile's first popcount.
     fn select_live(
         &mut self,
         ctxs: &[QueryCtx<'q>],
@@ -766,7 +760,6 @@ impl<'q> Scratch<'q> {
             live: Vec::with_capacity(ctxs.len()),
             probes: Vec::with_capacity(ctxs.len()),
             hits: vec![BlockHits::default(); ctxs.len()],
-            tail: Vec::new(),
         }
     }
 }
@@ -898,8 +891,12 @@ fn effective_theta(top: &TopK, min_score: Option<f64>) -> Option<f64> {
     }
 }
 
-/// Smallest sub-slot scan task; see [`IndexReader::split_tasks`].
-const MIN_SPLIT: usize = 32;
+/// How many tiles ahead of the one being scored a scan prefetches.
+const PREFETCH_TILES: usize = 4;
+
+/// Smallest sub-slot scan task (a whole number of tiles); see
+/// [`IndexReader::split_tasks`].
+const MIN_SPLIT: usize = 4 * TILE_ROWS;
 
 /// `2·min(q, x)/(q + x)`, the best Dice score any filter with popcount
 /// `x` can reach against a query with popcount `q`. Two empty filters

@@ -170,7 +170,8 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment> {
 /// output is byte-identical to [`encode_segment`] over the same rows in
 /// the same order: a filter's wire bytes are the little-endian bytes of
 /// its backing words truncated to `⌈flen/8⌉` (the `BitVec::to_bytes`
-/// contract), which is read here directly off each row's word slice.
+/// contract), which is read here off each row's words, gathered from
+/// the arena's tile.
 pub fn encode_segment_from_arena(shard: u32, arena: &FilterArena) -> Result<Vec<u8>> {
     let filter_len = arena.filter_len();
     let filter_bytes = filter_len.div_ceil(8);
@@ -185,12 +186,13 @@ pub fn encode_segment_from_arena(shard: u32, arena: &FilterArena) -> Result<Vec<
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&flen.to_le_bytes());
     out.extend_from_slice(&count.to_le_bytes());
+    let mut row = vec![0u64; arena.stride()];
     for i in 0..arena.len() {
         out.extend_from_slice(&(entry_len as u32).to_le_bytes());
         out.extend_from_slice(&arena.id(i).to_le_bytes());
-        let row = arena.row(i);
-        for b in 0..filter_bytes {
-            out.push((row[b / 8] >> ((b % 8) * 8)) as u8);
+        arena.row_into(i, &mut row);
+        for (b, word) in (0..filter_bytes).step_by(8).zip(&row) {
+            out.extend_from_slice(&word.to_le_bytes()[..(filter_bytes - b).min(8)]);
         }
     }
     append_checksum(&mut out);
@@ -260,9 +262,10 @@ pub fn decode_segment_arena(bytes: &[u8]) -> Result<(u32, FilterArena)> {
         }
         let id = r.u64()?;
         let raw = r.take(filter_bytes)?;
-        row.iter_mut().for_each(|w| *w = 0);
-        for (b, &byte) in raw.iter().enumerate() {
-            row[b / 8] |= (byte as u64) << ((b % 8) * 8);
+        for (word, bytes) in row.iter_mut().zip(raw.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..bytes.len()].copy_from_slice(bytes);
+            *word = u64::from_le_bytes(le);
         }
         // `push` re-checks the tail-bit invariant, matching
         // `BitVec::from_bytes`' rejection of bits set beyond filter_len.

@@ -746,6 +746,7 @@ impl IndexStore {
         let total = runs.iter().map(|a| a.len()).sum();
         let mut builder = ArenaBuilder::with_capacity(flen, total);
         let mut cursor = vec![0usize; runs.len()];
+        let mut row = vec![0u64; BitVec::words_for_len(flen)];
         let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
         for (r, run) in runs.iter().enumerate() {
             if !run.is_empty() {
@@ -755,7 +756,8 @@ impl IndexStore {
         while let Some(std::cmp::Reverse((_, _, r))) = heap.pop() {
             let run = &runs[r];
             let i = cursor[r];
-            builder.push(run.id(i), run.row(i))?;
+            run.row_into(i, &mut row);
+            builder.push(run.id(i), &row)?;
             cursor[r] = i + 1;
             if i + 1 < run.len() {
                 heap.push(std::cmp::Reverse((run.popcount(i + 1), run.id(i + 1), r)));
@@ -1090,8 +1092,10 @@ fn entry_with_bounds_arena(
     };
     if let Some(summary) = &mut summary {
         let mut keys = Vec::with_capacity(positions.len());
+        let mut row = vec![0u64; arena.stride()];
         for i in 0..arena.len() {
-            band_keys_words_into(arena.row(i), positions, &mut keys);
+            arena.row_into(i, &mut row);
+            band_keys_words_into(&row, positions, &mut keys);
             for (table, &key) in keys.iter().enumerate() {
                 summary.insert(table, key);
             }

@@ -3,12 +3,13 @@
 //! The correctness bar for the arena rewrite is *bit-for-bit* agreement
 //! with the scalar `BitVec` path at every layer:
 //!
-//! 1. The flat-slice kernels (`and_count`, the block scan
-//!    `score_block`, `dice_from_counts`) must reproduce
+//! 1. The flat-slice kernels (`and_count`, the tile scan
+//!    `score_tile`, `dice_from_counts`) must reproduce
 //!    `BitVec::and_count` / `dice_bits` exactly, including all-zero and
-//!    all-one edges and lengths that straddle word boundaries; the block
-//!    scan's two admission stages must match a scalar reference at
-//!    admission counts set exactly at, and one above, each stage's count.
+//!    all-one edges and lengths that straddle word boundaries; the tile
+//!    scan's two admission stages must match a scalar reference on
+//!    partial tiles and at admission counts set exactly at, and one
+//!    above, each stage's count.
 //! 2. A lazy [`IndexReader`] over segment files, the eager store
 //!    reader, and a brute-force scan must return identical `(id,
 //!    score)` hit lists for the same queries.
@@ -24,7 +25,7 @@ use pprl_index::summary::SummaryConfig;
 use pprl_similarity::bitvec_sim::dice_bits;
 use pprl_similarity::kernel::{
     active_kernel, and_count, available_kernels, dice_from_counts, kernel_name, prefix_words,
-    requested_is_supported, requested_kernel, BlockHits, BlockProbe, Kernel,
+    requested_is_supported, requested_kernel, BlockHits, BlockProbe, Kernel, TILE_ROWS,
 };
 use std::path::PathBuf;
 
@@ -113,16 +114,13 @@ fn every_dispatch_path_matches_the_bitvec_oracle() {
                     kernel.name()
                 );
             }
-            // Batched lanes over a 4-row block, against the same oracle.
+            // Batched lanes over an 8-row tile, against the same oracle.
             let query = random_filter(len, 400, &mut state);
-            let rows: Vec<BitVec> = (0..4)
-                .map(|i| random_filter(len, 150 + 200 * i, &mut state))
+            let rows: Vec<BitVec> = (0..TILE_ROWS as u64)
+                .map(|i| random_filter(len, 100 + 110 * i, &mut state))
                 .collect();
-            let mut block = Vec::new();
-            for row in &rows {
-                block.extend_from_slice(row.as_words());
-            }
-            let counts = full_counts(kernel, query.as_words(), &block);
+            let tile = tile_of(query.as_words().len(), &rows);
+            let counts = full_counts(kernel, query.as_words(), &tile, TILE_ROWS);
             for (lane, row) in rows.iter().enumerate() {
                 assert_eq!(
                     counts[lane] as usize,
@@ -135,32 +133,45 @@ fn every_dispatch_path_matches_the_bitvec_oracle() {
     }
 }
 
-/// Full counts of one probe against a 4-row block: `score_block` with
-/// admission count 0 scores and admits every row.
-fn full_counts(kernel: &Kernel, probe: &[u64], block: &[u64]) -> [u32; 4] {
+/// The word-major tile of up to eight rows (zero padding after them):
+/// word `w` of row `j` at `8w + j`.
+fn tile_of(stride: usize, rows: &[BitVec]) -> Vec<u64> {
+    let mut tile = vec![0u64; TILE_ROWS * stride];
+    for (j, row) in rows.iter().enumerate() {
+        for (w, &word) in row.as_words().iter().enumerate() {
+            tile[w * TILE_ROWS + j] = word;
+        }
+    }
+    tile
+}
+
+/// Full counts of one probe against the first `rows` rows of a tile:
+/// `score_tile` with admission count 0 scores and admits every row.
+fn full_counts(kernel: &Kernel, probe: &[u64], tile: &[u64], rows: usize) -> [u32; TILE_ROWS] {
     let mut out = [BlockHits::default()];
-    kernel.score_block(block, &[BlockProbe::new(probe, 0)], &mut out);
-    assert_eq!((out[0].scored, out[0].admitted), (0xF, 0xF));
+    kernel.score_tile(tile, rows, &[BlockProbe::new(probe, 0)], &mut out);
+    let lanes = ((1u16 << rows) - 1) as u8;
+    assert_eq!((out[0].scored, out[0].admitted), (lanes, lanes));
     out[0].counts
 }
 
-/// Scalar reference for one probe of `score_block`, straight from the
-/// definition: prefix counts over the first `prefix_words(stride)`
+/// Scalar reference for one probe of `score_tile`, straight from the
+/// definition over row-major `rows` (`rows.len() / stride` of them, at
+/// most eight): prefix counts over the first `prefix_words(stride)`
 /// words, the prefix bound `c_prefix + popcount(probe suffix) >= cmin`,
-/// then the full count against `cmin`.
-fn reference_block(rows: &[u64], probe: &[u64], cmin: u32) -> BlockHits {
+/// then the full count against `cmin`. Rejected rows and padding lanes
+/// read 0 and are never scored.
+fn reference_tile(rows: &[u64], probe: &[u64], cmin: u32) -> BlockHits {
     let stride = probe.len();
     let split = prefix_words(stride);
     let suffix: u32 = probe[split..].iter().map(|w| w.count_ones()).sum();
     let mut out = BlockHits::default();
-    for j in 0..4 {
-        let row = &rows[j * stride..(j + 1) * stride];
+    for (j, row) in rows.chunks_exact(stride.max(1)).enumerate() {
         let count = |range: std::ops::Range<usize>| -> u32 {
             range.map(|w| (probe[w] & row[w]).count_ones()).sum()
         };
         let prefix = count(0..split);
         if u64::from(prefix) + u64::from(suffix) < u64::from(cmin) {
-            out.counts[j] = prefix;
             continue;
         }
         out.scored |= 1 << j;
@@ -172,89 +183,101 @@ fn reference_block(rows: &[u64], probe: &[u64], cmin: u32) -> BlockHits {
     out
 }
 
-/// The block scan on every dispatch path, against the scalar reference,
+/// The tile scan on every dispatch path, against the scalar reference,
 /// over strides 1–20 and 32 (word counts on both sides of every vector
 /// width, and strides whose prefix is empty or shorter than one vector),
-/// all-zero and all-one rows and probes, and admission counts set
-/// exactly at and one above each row's prefix bound and full count.
+/// row counts 0–17 cut into tiles as an arena cuts them (so the last
+/// tile is partial and its padding lanes must never be scored or
+/// admitted), all-zero and all-one rows and probes, and admission counts
+/// set exactly at and one above each row's prefix bound and full count.
 #[test]
-fn block_scan_matches_the_scalar_reference_on_every_path() {
+fn tile_scan_matches_the_scalar_reference_on_every_path() {
     let mut state = 0x5CA7u64;
     let strides: Vec<usize> = (1..=20).chain([32]).collect();
     for &stride in &strides {
         // Trailing bits stay zero, as in any arena row.
         let len = 64 * stride - (stride % 3) * 7;
-        let mut row_sets: Vec<Vec<BitVec>> = vec![
-            vec![BitVec::zeros(len); 4],
-            vec![BitVec::ones(len); 4],
-            vec![
-                BitVec::zeros(len),
-                BitVec::ones(len),
-                random_filter(len, 300, &mut state),
-                random_filter(len, 700, &mut state),
-            ],
-        ];
-        for fill in [100, 300, 500] {
-            row_sets.push(
-                (0..4)
-                    .map(|_| random_filter(len, fill, &mut state))
-                    .collect(),
-            );
-        }
         let probe_set = [
             BitVec::zeros(len),
             BitVec::ones(len),
             random_filter(len, 300, &mut state),
             random_filter(len, 600, &mut state),
         ];
-        for rows in &row_sets {
-            let block: Vec<u64> = rows.iter().flat_map(|r| r.as_words().to_vec()).collect();
-            for probe in &probe_set {
-                let words = probe.as_words();
-                let at_zero = reference_block(&block, words, 0);
-                let split = prefix_words(stride);
-                let suffix: u32 = words[split..].iter().map(|w| w.count_ones()).sum();
-                // Each row's full count and prefix bound, and one above.
-                let mut cmins = vec![0u32, u32::MAX];
-                for (j, row) in rows.iter().enumerate() {
-                    let full = probe.and_count(row) as u32;
-                    assert_eq!(at_zero.counts[j], full, "reference full count");
-                    let prefix: u32 = (0..split)
-                        .map(|w| (words[w] & block[j * stride + w]).count_ones())
-                        .sum();
-                    cmins.extend([full, full + 1, prefix + suffix, prefix + suffix + 1]);
-                }
-                let probes: Vec<BlockProbe> =
-                    cmins.iter().map(|&c| BlockProbe::new(words, c)).collect();
-                let want: Vec<BlockHits> = cmins
-                    .iter()
-                    .map(|&c| reference_block(&block, words, c))
-                    .collect();
-                for (i, &cmin) in cmins.iter().enumerate().skip(2) {
-                    // cmins[2 + 4j ..]: row j's full, full+1, bound, bound+1.
-                    let j = (i - 2) / 4;
-                    let bit = 1u8 << j;
-                    match (i - 2) % 4 {
-                        0 => assert!(want[i].admitted & bit != 0, "at full count {cmin}"),
-                        1 => assert!(want[i].admitted & bit == 0, "above full count {cmin}"),
-                        2 => assert!(want[i].scored & bit != 0, "at prefix bound {cmin}"),
-                        _ => assert!(want[i].scored & bit == 0, "above prefix bound {cmin}"),
-                    }
-                }
-                for kernel in available_kernels() {
-                    // All admission counts in one call, as a batch scan
-                    // passes its live probes.
-                    let mut got = vec![BlockHits::default(); probes.len()];
-                    kernel.score_block(&block, &probes, &mut got);
-                    assert_eq!(got, want, "kernel {} at stride {stride}", kernel.name());
-                    // And one probe per call.
-                    for (probe, want) in probes.iter().zip(&want) {
-                        let mut one = [BlockHits::default()];
-                        kernel.score_block(&block, std::slice::from_ref(probe), &mut one);
-                        assert_eq!(one[0], *want, "kernel {} single probe", kernel.name());
-                    }
+        for n in 0..=17usize {
+            let rows: Vec<BitVec> = (0..n)
+                .map(|i| match i % 6 {
+                    0 => BitVec::zeros(len),
+                    1 => BitVec::ones(len),
+                    _ => random_filter(len, 100 + 150 * (i as u64 % 5), &mut state),
+                })
+                .collect();
+            // Zero rows is one all-padding tile.
+            let tiles: Vec<&[BitVec]> = if n == 0 {
+                vec![&[]]
+            } else {
+                rows.chunks(TILE_ROWS).collect()
+            };
+            for chunk in tiles {
+                let tile = tile_of(stride, chunk);
+                let flat: Vec<u64> = chunk.iter().flat_map(|r| r.as_words().to_vec()).collect();
+                for probe in &probe_set {
+                    check_tile(stride, &tile, chunk, &flat, probe);
                 }
             }
+        }
+    }
+}
+
+/// One tile of [`tile_scan_matches_the_scalar_reference_on_every_path`]:
+/// the reference at every interesting admission count, then every path
+/// with all counts in one call and one probe per call.
+fn check_tile(stride: usize, tile: &[u64], rows: &[BitVec], flat: &[u64], probe: &BitVec) {
+    let words = probe.as_words();
+    let split = prefix_words(stride);
+    let suffix: u32 = words[split..].iter().map(|w| w.count_ones()).sum();
+    let at_zero = reference_tile(flat, words, 0);
+    // Each row's full count and prefix bound, and one above.
+    let mut cmins = vec![0u32, u32::MAX];
+    for (j, row) in rows.iter().enumerate() {
+        let full = probe.and_count(row) as u32;
+        assert_eq!(at_zero.counts[j], full, "reference full count");
+        let prefix: u32 = (0..split)
+            .map(|w| (words[w] & row.as_words()[w]).count_ones())
+            .sum();
+        cmins.extend([full, full + 1, prefix + suffix, prefix + suffix + 1]);
+    }
+    let probes: Vec<BlockProbe> = cmins.iter().map(|&c| BlockProbe::new(words, c)).collect();
+    let want: Vec<BlockHits> = cmins
+        .iter()
+        .map(|&c| reference_tile(flat, words, c))
+        .collect();
+    for (i, &cmin) in cmins.iter().enumerate().skip(2) {
+        // cmins[2 + 4j ..]: row j's full, full+1, bound, bound+1.
+        let j = (i - 2) / 4;
+        let bit = 1u8 << j;
+        match (i - 2) % 4 {
+            0 => assert!(want[i].admitted & bit != 0, "at full count {cmin}"),
+            1 => assert!(want[i].admitted & bit == 0, "above full count {cmin}"),
+            2 => assert!(want[i].scored & bit != 0, "at prefix bound {cmin}"),
+            _ => assert!(want[i].scored & bit == 0, "above prefix bound {cmin}"),
+        }
+    }
+    let n = rows.len();
+    for kernel in available_kernels() {
+        let name = kernel.name();
+        // All admission counts in one call, as a batch scan passes its
+        // live probes.
+        let mut got = vec![BlockHits::default(); probes.len()];
+        let totals = kernel.score_tile(tile, n, &probes, &mut got);
+        assert_eq!(got, want, "kernel {name} at stride {stride}, {n} rows");
+        let scored: u32 = want.iter().map(|h| h.scored.count_ones()).sum();
+        let admitted = want.iter().fold(0u8, |m, h| m | h.admitted);
+        assert_eq!((totals.scored, totals.admitted), (scored, admitted));
+        // And one probe per call.
+        for (probe, want) in probes.iter().zip(&want) {
+            let mut one = [BlockHits::default()];
+            kernel.score_tile(tile, n, std::slice::from_ref(probe), &mut one);
+            assert_eq!(one[0], *want, "kernel {name} single probe, {n} rows");
         }
     }
 }
@@ -292,37 +315,37 @@ fn forced_kernel_env_is_honored() {
 }
 
 #[test]
-fn batched_kernel_matches_scalar_over_arena_blocks() {
+fn batched_kernel_matches_scalar_over_arena_tiles() {
     let mut state = 0xB10Cu64;
     for len in [64usize, 500, 1000, 2048] {
         let records: Vec<(u64, BitVec)> = (0..37)
             .map(|i| (i, random_filter(len, 100 + 20 * (i % 11), &mut state)))
             .collect();
         let arena = FilterArena::from_records(records, len).expect("arena");
-        let stride = arena.stride();
         let query = random_filter(len, 250, &mut state);
         let q = query.as_words();
-        let mut i = 0;
-        while i + 4 <= arena.len() {
-            let block = &arena.words()[i * stride..(i + 4) * stride];
-            let counts = full_counts(&active_kernel(), q, block);
-            for (lane, &count) in counts.iter().enumerate() {
+        let mut row = vec![0u64; arena.stride()];
+        for t in 0..arena.tiles() {
+            let rows = TILE_ROWS.min(arena.len() - t * TILE_ROWS);
+            let counts = full_counts(&active_kernel(), q, arena.tile(t), rows);
+            for (lane, &count) in counts.iter().take(rows).enumerate() {
+                arena.row_into(t * TILE_ROWS + lane, &mut row);
                 assert_eq!(
                     count as usize,
-                    and_count(q, arena.row(i + lane)),
-                    "lane {lane} of block at row {i}, len {len}"
+                    and_count(q, &row),
+                    "lane {lane} of tile {t}, len {len}"
                 );
             }
-            i += 4;
         }
         // Check every row against the original BitVec too (arena rows
         // round-trip exactly).
-        for row in 0..arena.len() {
-            let (_, filter) = arena.get(row).expect("row");
+        for i in 0..arena.len() {
+            let (_, filter) = arena.get(i).expect("row");
+            arena.row_into(i, &mut row);
             assert_eq!(
-                and_count(q, arena.row(row)),
+                and_count(q, &row),
                 query.and_count(&filter),
-                "row {row} at len {len}"
+                "row {i} at len {len}"
             );
         }
     }

@@ -17,10 +17,11 @@
 
 use crate::pool::BoundedQueue;
 use crate::service::{LinkageService, ServiceConfig};
-use crate::wire::{read_payload, write_payload, Incoming, Request, Response};
+use crate::wire::{read_payload, write_payload, Incoming, Request, Response, MAX_PAYLOAD};
 use pprl_core::error::{PprlError, Result};
 use pprl_index::store::TieredPolicy;
 use pprl_session::channel::{IncomingRef, SESSION_WIRE_VERSION};
+use pprl_session::frame::{read_payload_capped, MAX_HANDSHAKE_PAYLOAD};
 use pprl_session::handshake::{server_handshake, ServerSession};
 use pprl_session::keys::entropy_rng;
 use pprl_session::registry::AuthRegistry;
@@ -432,11 +433,17 @@ fn maintenance_loop(services: &[Arc<LinkageService>], shutdown: &AtomicBool, int
 /// no session keys exist yet to say it authenticated.
 fn handle_session(mut stream: TcpStream, context: &ServerContext) {
     let mut idle = Duration::ZERO;
+    // On an authenticating server the first frame comes from a peer that
+    // has not authenticated yet: only a HELLO-sized frame is accepted.
+    let cap = match context.backend.registry() {
+        Some(_) => MAX_HANDSHAKE_PAYLOAD,
+        None => MAX_PAYLOAD,
+    };
     let first = loop {
         if context.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_payload(&mut stream) {
+        match read_payload_capped(&mut stream, cap) {
             Ok(Incoming::TimedOut) => {
                 idle += POLL_INTERVAL;
                 if idle >= context.idle_timeout {

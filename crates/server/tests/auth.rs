@@ -238,6 +238,41 @@ fn wrong_key_and_plaintext_clients_rejected() {
 }
 
 #[test]
+fn oversized_pre_handshake_frame_is_refused_before_allocation() {
+    use pprl_server::wire::{read_payload, Incoming, Response};
+    use std::io::Write;
+    let root = temp_dir("prefix");
+    build_index(&root.join("org-a"), 0, 5);
+    build_index(&root.join("org-b"), 50, 5);
+    let (reg, key_a, _, _) = two_tenant_registry();
+    let handle = serve_auth(&root, "127.0.0.1:0", quiet_config(), reg).unwrap();
+    let addr = handle.addr().to_string();
+
+    // An unauthenticated peer announces a 64 MiB frame and sends nothing
+    // more: the server answers at once with a typed framing error
+    // instead of waiting to fill a 64 MiB buffer.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&0x0400_0000u32.to_le_bytes()).unwrap();
+    match read_payload(&mut raw).unwrap() {
+        Incoming::Payload(p) => match Response::decode(&p).unwrap() {
+            Response::ServerError { message } => {
+                assert!(message.contains("outside (0, 4096]"), "{message}")
+            }
+            other => panic!("expected a ServerError, got {other:?}"),
+        },
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    // The server keeps serving authenticated clients.
+    let mut good = Client::connect_with(&addr, Some(auth("org-a", &key_a, "org-a", true))).unwrap();
+    assert_eq!(good.stats().unwrap().records, 5);
+    drop((raw, good));
+    handle.shutdown_now();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
 fn shutdown_requires_privileged_identity() {
     let root = temp_dir("shutdown");
     build_index(&root.join("org-a"), 0, 10);

@@ -32,6 +32,12 @@ use std::io::{Read, Write};
 /// prefix must never make a peer allocate unbounded memory.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
+/// Cap on a handshake frame (4 KiB). HELLO, WELCOME, CONFIRM and ACCEPT
+/// are a few hundred bytes at most, and a peer that has not yet
+/// authenticated must not be able to make the other side allocate up
+/// to [`MAX_PAYLOAD`] with a 4-byte length prefix.
+pub const MAX_HANDSHAKE_PAYLOAD: usize = 4 << 10;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
@@ -94,8 +100,15 @@ pub enum IncomingLen {
 /// reported as retryable idle — the retry would start mid-prefix and
 /// permanently desynchronize the stream.
 pub fn read_payload(r: &mut impl Read) -> Result<Incoming> {
+    read_payload_capped(r, MAX_PAYLOAD)
+}
+
+/// [`read_payload`] with a smaller payload cap, for frames read before
+/// the peer has authenticated: a length prefix above `cap` is a typed
+/// [`PprlError::Transport`] error before anything is allocated.
+pub fn read_payload_capped(r: &mut impl Read, cap: usize) -> Result<Incoming> {
     let mut buf = Vec::new();
-    match read_payload_into(r, &mut buf)? {
+    match read_payload_into_capped(r, &mut buf, cap)? {
         IncomingLen::Payload(plen) => {
             buf.truncate(plen);
             Ok(Incoming::Payload(buf))
@@ -111,6 +124,17 @@ pub fn read_payload(r: &mut impl Read) -> Result<Incoming> {
 /// calls, so a session loop that reuses one buffer reads frames without
 /// allocating once the buffer has grown to the session's largest frame.
 pub fn read_payload_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<IncomingLen> {
+    read_payload_into_capped(r, buf, MAX_PAYLOAD)
+}
+
+/// [`read_payload_into`] rejecting payloads longer than `cap` (itself
+/// at most [`MAX_PAYLOAD`]) before the buffer grows.
+pub fn read_payload_into_capped(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> Result<IncomingLen> {
+    let cap = cap.min(MAX_PAYLOAD);
     let mut len_bytes = [0u8; 4];
     let mut got = 0usize;
     while got < len_bytes.len() {
@@ -140,9 +164,9 @@ pub fn read_payload_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Incomin
         }
     }
     let plen = u32::from_le_bytes(len_bytes) as usize;
-    if plen == 0 || plen > MAX_PAYLOAD {
+    if plen == 0 || plen > cap {
         return Err(transport_err(format!(
-            "frame length {plen} outside (0, {MAX_PAYLOAD}]"
+            "frame length {plen} outside (0, {cap}]"
         )));
     }
     buf.resize(plen + 8, 0);
@@ -233,6 +257,37 @@ mod tests {
             panic!("expected a payload");
         };
         assert_eq!(p, b"hello");
+    }
+
+    #[test]
+    fn capped_read_rejects_a_max_payload_prefix_before_allocating() {
+        // A bare 64 MiB length prefix, as an unauthenticated peer could
+        // send it in place of a HELLO.
+        let prefix = 0x0400_0000u32;
+        assert_eq!(prefix as usize, MAX_PAYLOAD);
+        let mut cursor = std::io::Cursor::new(prefix.to_le_bytes().to_vec());
+        let mut buf = Vec::new();
+        let err = read_payload_into_capped(&mut cursor, &mut buf, MAX_HANDSHAKE_PAYLOAD)
+            .expect_err("a 64 MiB handshake frame must be refused");
+        assert!(matches!(err, PprlError::Transport(_)), "{err}");
+        assert!(err.to_string().contains("4096"), "{err}");
+        assert!(
+            buf.capacity() <= MAX_HANDSHAKE_PAYLOAD,
+            "{}",
+            buf.capacity()
+        );
+        let mut cursor = std::io::Cursor::new(prefix.to_le_bytes().to_vec());
+        let err = read_payload_capped(&mut cursor, MAX_HANDSHAKE_PAYLOAD).unwrap_err();
+        assert!(matches!(err, PprlError::Transport(_)), "{err}");
+        // Frames within the cap still read.
+        let mut frame = Vec::new();
+        write_payload(&mut frame, &[7u8; MAX_HANDSHAKE_PAYLOAD]).unwrap();
+        let mut cursor = std::io::Cursor::new(frame);
+        let Incoming::Payload(p) = read_payload_capped(&mut cursor, MAX_HANDSHAKE_PAYLOAD).unwrap()
+        else {
+            panic!("expected a payload");
+        };
+        assert_eq!(p.len(), MAX_HANDSHAKE_PAYLOAD);
     }
 
     #[test]

@@ -71,7 +71,9 @@
 use crate::channel::{
     SecureChannel, OP_ACCEPT, OP_AUTH_ERROR, OP_CONFIRM, OP_HELLO, OP_WELCOME, SESSION_WIRE_VERSION,
 };
-use crate::frame::{parse_plain_busy, read_payload, write_payload, Incoming};
+use crate::frame::{
+    parse_plain_busy, read_payload_capped, write_payload, Incoming, MAX_HANDSHAKE_PAYLOAD,
+};
 use crate::keys::{entropy_rng, PartyKey, SecretRng};
 use crate::registry::{valid_name, AuthRegistry};
 use crate::suite::{select_suite, CipherSuite, SuiteOffer};
@@ -172,9 +174,10 @@ fn auth_err(msg: impl Into<String>) -> PprlError {
     PprlError::Auth(msg.into())
 }
 
-/// Reads the next frame, treating EOF/timeout mid-handshake as failures.
+/// Reads the next handshake frame (at most [`MAX_HANDSHAKE_PAYLOAD`]
+/// bytes), treating EOF/timeout mid-handshake as failures.
 fn expect_frame(r: &mut impl Read) -> Result<Vec<u8>> {
-    match read_payload(r)? {
+    match read_payload_capped(r, MAX_HANDSHAKE_PAYLOAD)? {
         Incoming::Payload(p) => Ok(p),
         Incoming::Eof => Err(auth_err("peer closed the connection mid-handshake")),
         Incoming::TimedOut => Err(auth_err("handshake timed out")),
@@ -621,6 +624,7 @@ pub fn client_handshake_established<S: Read + Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::read_payload;
     use crate::registry::TenantGrant;
     use pprl_core::rng::SplitMix64;
     use std::net::{TcpListener, TcpStream};

@@ -9,16 +9,23 @@
 //!
 //! * [`and_count`] — one pair, four independent accumulators so the
 //!   popcounts pipeline instead of serialising on one add chain;
-//! * [`Kernel::score_block`] — one 4-row arena block against every live
-//!   probe of a scan in a single call. It is a two-stage admission test:
-//!   each probe carries an integer *admission count* `cmin`, and a row
-//!   matters only if its intersection count `c` reaches it. The first
-//!   stage counts the row prefix (the first [`prefix_words`] words) and
-//!   rejects the row when `c_prefix + popcount(probe suffix) < cmin`,
-//!   which is sound because the suffix can add at most the probe
-//!   suffix's popcount. Survivors are finished over the suffix in the
-//!   same call. The result per probe is a row mask plus exact counts,
-//!   the same on every dispatch path.
+//! * [`Kernel::score_tile`] — one arena *tile* against every live probe
+//!   of a scan in a single call. A tile holds [`TILE_ROWS`] = 8 rows
+//!   word-major: word `w` of all eight rows sits in `tile[8w..8w + 8]`,
+//!   so one probe word, broadcast, meets the same word of eight rows in
+//!   one vector AND, and one vector popcount adds into a vector of eight
+//!   per-row counters. Each counter belongs to one row from start to
+//!   finish, so no path ever folds lanes across rows.
+//!
+//! The tile scan is a two-stage admission test: each probe carries an
+//! integer *admission count* `cmin`, and a row matters only if its
+//! intersection count `c` reaches it. The first stage counts the row
+//! prefix (the first [`prefix_words`] words) and rejects the row when
+//! `c_prefix + popcount(probe suffix) < cmin` — one vector compare for
+//! all eight rows — which is sound because the suffix can add at most
+//! the probe suffix's popcount. A probe with a surviving row is finished
+//! over the suffix in the same call. The result per probe is a row mask
+//! plus exact counts, the same on every dispatch path.
 //!
 //! # Dispatch
 //!
@@ -53,10 +60,15 @@
 //! scalar `BitVec` path. The property suite in
 //! `crates/index/tests/kernel_equivalence.rs` checks every path available
 //! on the host against the `BitVec` oracle, including odd tail lengths,
-//! and checks [`Kernel::score_block`] against a scalar reference at
-//! admission counts set exactly at, and one above, each stage's count.
+//! and checks [`Kernel::score_tile`] against a scalar reference on
+//! partial tiles and at admission counts set exactly at, and one above,
+//! each stage's count.
 
 use std::sync::OnceLock;
+
+/// Rows per arena tile: the unit [`Kernel::score_tile`] scores, and the
+/// width of its vector of per-row counters.
+pub const TILE_ROWS: usize = 8;
 
 /// One dispatchable implementation of the scan kernels.
 ///
@@ -68,7 +80,7 @@ use std::sync::OnceLock;
 pub struct Kernel {
     name: &'static str,
     and_count: fn(&[u64], &[u64]) -> usize,
-    score_block: fn(&[u64], &[BlockProbe<'_>], &mut [BlockHits]) -> BlockTotals,
+    score_tile: fn(&[u64], u8, &[BlockProbe<'_>], &mut [BlockHits]) -> BlockTotals,
 }
 
 impl Kernel {
@@ -93,37 +105,41 @@ impl Kernel {
         (self.and_count)(a, b)
     }
 
-    /// Scores one 4-row block (`rows`, the rows laid out back to back)
-    /// against every probe in `probes`, writing one [`BlockHits`] per
-    /// probe into `out[..probes.len()]`. Bit `j` of `admitted` is set iff
-    /// row `j`'s intersection count with the probe is at least the
-    /// probe's `cmin`; see the module docs for the two stages. The
-    /// returned totals let a caller skip reading `out` when no row was
-    /// admitted.
+    /// Scores one tile (`tile`: [`TILE_ROWS`] rows of one stride,
+    /// word-major) against every probe in `probes`, writing one
+    /// [`BlockHits`] per probe into `out[..probes.len()]`. Only the first
+    /// `rows` lanes hold rows; the rest are padding and are never scored
+    /// or admitted. Bit `j` of `admitted` is set iff row `j`'s
+    /// intersection count with the probe is at least the probe's `cmin`;
+    /// see the module docs for the two stages. The returned totals let a
+    /// caller skip reading `out` when no row was admitted.
     ///
     /// The shape checks stay on in release builds, as with
-    /// [`Kernel::and_count`]: one per probe per block.
+    /// [`Kernel::and_count`]: one per probe per tile.
     #[inline]
-    pub fn score_block(
+    pub fn score_tile(
         &self,
-        rows: &[u64],
+        tile: &[u64],
+        rows: usize,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
         assert!(
-            rows.len().is_multiple_of(4),
-            "score_block: rows must hold exactly 4 rows of one stride"
+            tile.len().is_multiple_of(TILE_ROWS),
+            "score_tile: a tile must hold exactly {TILE_ROWS} rows of one stride"
         );
-        let stride = rows.len() / 4;
-        assert!(out.len() >= probes.len(), "score_block: output too short");
+        assert!(rows <= TILE_ROWS, "score_tile: more rows than tile lanes");
+        let stride = tile.len() / TILE_ROWS;
+        assert!(out.len() >= probes.len(), "score_tile: output too short");
         for probe in probes {
             assert_eq!(
                 probe.words.len(),
                 stride,
-                "score_block: probe width differs from the row stride"
+                "score_tile: probe width differs from the row stride"
             );
         }
-        (self.score_block)(rows, probes, &mut out[..probes.len()])
+        let lanes = ((1u16 << rows) - 1) as u8;
+        (self.score_tile)(tile, lanes, probes, &mut out[..probes.len()])
     }
 }
 
@@ -139,7 +155,7 @@ impl std::fmt::Debug for Kernel {
     }
 }
 
-/// One live probe of a [`Kernel::score_block`] call: the probe's filter
+/// One live probe of a [`Kernel::score_tile`] call: the probe's filter
 /// words (one row stride long) and its admission count `cmin` — a row
 /// is admitted iff its intersection count with the probe is at least
 /// `cmin`. The fields are private so the cached suffix popcount always
@@ -150,6 +166,9 @@ pub struct BlockProbe<'a> {
     /// Popcount of `words[prefix_words(words.len())..]`.
     suffix_ones: u32,
     cmin: u32,
+    /// The prefix bound restated on the prefix count alone:
+    /// `c_prefix + suffix_ones >= cmin` iff `c_prefix >= prefix_need`.
+    prefix_need: u32,
 }
 
 impl<'a> BlockProbe<'a> {
@@ -162,38 +181,44 @@ impl<'a> BlockProbe<'a> {
         BlockProbe {
             words,
             suffix_ones,
-            cmin,
+            cmin: 0,
+            prefix_need: 0,
         }
+        .with_cmin(cmin)
     }
 
     /// The same probe at another admission count.
     #[inline]
     pub fn with_cmin(self, cmin: u32) -> BlockProbe<'a> {
-        BlockProbe { cmin, ..self }
+        BlockProbe {
+            cmin,
+            prefix_need: cmin.saturating_sub(self.suffix_ones),
+            ..self
+        }
     }
 }
 
-/// What [`Kernel::score_block`] found for one probe against one block.
-/// Bit `j` of each mask stands for row `j` of the block.
+/// What [`Kernel::score_tile`] found for one probe against one tile.
+/// Bit `j` of each mask stands for row `j` of the tile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockHits {
     /// Rows that passed the prefix bound and were counted in full.
     pub scored: u8,
     /// Scored rows whose full count reached `cmin`.
     pub admitted: u8,
-    /// The full intersection count of each scored row, and the prefix
-    /// count of each row the prefix bound rejected.
-    pub counts: [u32; 4],
+    /// The full intersection count of each scored row, and 0 in every
+    /// other lane (rows the prefix bound rejected, and padding).
+    pub counts: [u32; TILE_ROWS],
 }
 
-/// Words of a `stride`-word row that [`Kernel::score_block`] counts
+/// Words of a `stride`-word row that [`Kernel::score_tile`] counts
 /// before it applies the prefix bound: the first half, rounded down.
 #[inline]
 pub fn prefix_words(stride: usize) -> usize {
     stride / 2
 }
 
-/// Totals over every probe of one [`Kernel::score_block`] call.
+/// Totals over every probe of one [`Kernel::score_tile`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockTotals {
     /// Rows scored in full, summed over the probes.
@@ -202,47 +227,72 @@ pub struct BlockTotals {
     pub admitted: u8,
 }
 
-/// The prefix bound for four rows: bit `j` is set iff
-/// `prefix[j] + probe.suffix_ones >= probe.cmin`.
-#[inline(always)]
-fn prefix_mask(prefix: [u32; 4], probe: &BlockProbe<'_>) -> u8 {
-    let bound = u64::from(probe.suffix_ones);
-    let mut mask = 0u8;
-    for (j, &count) in prefix.iter().enumerate() {
-        mask |= u8::from(u64::from(count) + bound >= u64::from(probe.cmin)) << j;
+impl BlockTotals {
+    /// Folds one probe's verdict into the totals.
+    #[inline(always)]
+    fn add(&mut self, hits: &BlockHits) {
+        self.scored += hits.scored.count_ones();
+        self.admitted |= hits.admitted;
     }
-    mask
 }
 
-/// The second stage shared by every path. Each path leaves the prefix
-/// counts in `out[p].counts` and the prefix bound's verdict in
-/// `out[p].scored`; this finishes the probes with a surviving row over
-/// the suffix, with the path's own four-row counter `suffix4`, and sets
-/// the admitted masks.
+/// The tile scan over eight per-row counters held in a plain array,
+/// shared by the paths whose counters live in several registers
+/// (`scalar`, `portable`, `neon`): `count8(probe, from, to)` returns the
+/// counts of `probe[from..to]` against the same words of the tile's
+/// eight rows.
 #[inline(always)]
-fn finish_block(
+fn score_tile_with(
+    tile: &[u64],
+    lanes: u8,
     probes: &[BlockProbe<'_>],
     out: &mut [BlockHits],
-    suffix4: impl Fn(&[u64]) -> [u32; 4],
+    count8: impl Fn(&[u64], usize, usize) -> [u32; TILE_ROWS],
 ) -> BlockTotals {
+    let stride = tile.len() / TILE_ROWS;
+    let split = prefix_words(stride);
     let mut totals = BlockTotals::default();
     for (probe, hits) in probes.iter().zip(out.iter_mut()) {
-        hits.admitted = 0;
-        if hits.scored == 0 {
+        let mut counts = count8(probe.words, 0, split);
+        let mut scored = 0u8;
+        for (j, &count) in counts.iter().enumerate() {
+            scored |= u8::from(count >= probe.prefix_need) << j;
+        }
+        scored &= lanes;
+        if scored == 0 {
+            *hits = BlockHits::default();
             continue;
         }
-        totals.scored += hits.scored.count_ones();
-        let suffix = suffix4(probe.words);
-        for (j, (count, extra)) in hits.counts.iter_mut().zip(suffix).enumerate() {
-            // Branch-free: rows the prefix bound rejected keep their
-            // prefix count and stay unadmitted.
-            let scored = (hits.scored >> j) & 1;
-            *count += extra * u32::from(scored);
-            hits.admitted |= (u8::from(*count >= probe.cmin) & scored) << j;
+        let suffix = count8(probe.words, split, stride);
+        let mut admitted = 0u8;
+        for (j, (count, extra)) in counts.iter_mut().zip(suffix).enumerate() {
+            // Branch-free: rejected rows and padding read 0.
+            let hit = (scored >> j) & 1;
+            *count = (*count + extra) * u32::from(hit);
+            admitted |= (u8::from(*count >= probe.cmin) & hit) << j;
         }
-        totals.admitted |= hits.admitted;
+        *hits = BlockHits {
+            scored,
+            admitted,
+            counts,
+        };
+        totals.add(hits);
     }
     totals
+}
+
+/// Asks the CPU to start loading `words` (typically a tile a few tiles
+/// ahead of the one being scored) into cache, one hint per cache line.
+/// A single-probe scan runs at the speed memory streams in, and the
+/// hardware prefetcher alone does not keep a 1 KB-per-tile stream far
+/// enough ahead. A hint never faults and changes no result; it is a
+/// no-op off x86-64.
+#[inline]
+pub fn prefetch(words: &[u64]) {
+    #[cfg(target_arch = "x86_64")]
+    x86::prefetch(words);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = words;
 }
 
 /// Intersection popcount of two equal-length word slices, through the
@@ -272,6 +322,8 @@ pub fn dice_from_counts(intersection: usize, ones_a: usize, ones_b: usize) -> f6
 // ---------------------------------------------------------------------------
 
 mod scalar {
+    use super::TILE_ROWS;
+
     #[inline]
     pub(super) fn and_count(a: &[u64], b: &[u64]) -> usize {
         debug_assert_eq!(a.len(), b.len());
@@ -291,46 +343,29 @@ mod scalar {
         acc[0] + acc[1] + acc[2] + acc[3] + tail
     }
 
-    /// Counts of `probe[from..to]` against the same words of each of
-    /// the four `stride`-word rows in `rows`.
+    /// Counts of `probe[from..to]` against the same words of the tile's
+    /// eight rows: one counter per row, one tile word per probe word.
     #[inline(always)]
-    pub(super) fn count4(
-        rows: &[u64],
-        stride: usize,
-        probe: &[u64],
-        from: usize,
-        to: usize,
-    ) -> [u32; 4] {
-        let (r0, rest) = rows.split_at(stride);
-        let (r1, rest) = rest.split_at(stride);
-        let (r2, r3) = rest.split_at(stride);
-        let mut acc = [0u32; 4];
-        for w in from..to {
-            let q = probe[w];
-            acc[0] += (q & r0[w]).count_ones();
-            acc[1] += (q & r1[w]).count_ones();
-            acc[2] += (q & r2[w]).count_ones();
-            acc[3] += (q & r3[w]).count_ones();
+    pub(super) fn count8(tile: &[u64], probe: &[u64], from: usize, to: usize) -> [u32; TILE_ROWS] {
+        let mut acc = [0u32; TILE_ROWS];
+        let tile = &tile[from * TILE_ROWS..to * TILE_ROWS];
+        for (&q, rows) in probe[from..to].iter().zip(tile.chunks_exact(TILE_ROWS)) {
+            for (count, &row) in acc.iter_mut().zip(rows) {
+                *count += (q & row).count_ones();
+            }
         }
         acc
     }
 
-    /// The block scan, probe by probe: four prefix accumulators per
-    /// probe, then the shared second stage.
     #[inline]
-    pub(super) fn score_block(
-        rows: &[u64],
+    pub(super) fn score_tile(
+        tile: &[u64],
+        lanes: u8,
         probes: &[super::BlockProbe<'_>],
         out: &mut [super::BlockHits],
     ) -> super::BlockTotals {
-        let stride = rows.len() / 4;
-        let split = super::prefix_words(stride);
-        for (probe, hits) in probes.iter().zip(out.iter_mut()) {
-            hits.counts = count4(rows, stride, probe.words, 0, split);
-            hits.scored = super::prefix_mask(hits.counts, probe);
-        }
-        super::finish_block(probes, out, |probe| {
-            count4(rows, stride, probe, split, stride)
+        super::score_tile_with(tile, lanes, probes, out, |probe, from, to| {
+            count8(tile, probe, from, to)
         })
     }
 }
@@ -345,33 +380,17 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{BlockHits, BlockProbe, BlockTotals};
+    use super::{BlockHits, BlockProbe, BlockTotals, TILE_ROWS};
     use core::arch::x86_64::*;
 
-    // ---- shared by the avx2 and avx512 block scans ----
-
-    /// The prefix bound in-register: bit `j` is set iff dword `j` of
-    /// `prefix` plus the probe's suffix popcount reaches its admission
-    /// count (an unsigned compare).
+    /// One `prefetcht0` per 64-byte line of `words`.
     #[inline]
-    #[target_feature(enable = "avx2")]
-    fn prefix_mask_sse(prefix: __m128i, probe: &BlockProbe<'_>) -> u8 {
-        let bound = _mm_add_epi32(prefix, _mm_set1_epi32(probe.suffix_ones as i32));
-        let cmin = _mm_set1_epi32(probe.cmin as i32);
-        let reached = _mm_cmpeq_epi32(_mm_max_epu32(bound, cmin), bound);
-        _mm_movemask_ps(_mm_castsi128_ps(reached)) as u8
-    }
-
-    /// Adds `sums` to the four counts in `counts`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn add_counts(counts: &mut [u32; 4], sums: __m128i) -> __m128i {
-        // SAFETY: `counts` is 16 readable and writable bytes;
-        // loadu/storeu have no alignment requirement.
-        unsafe {
-            let total = _mm_add_epi32(_mm_loadu_si128(counts.as_ptr().cast()), sums);
-            _mm_storeu_si128(counts.as_mut_ptr().cast(), total);
-            total
+    pub(super) fn prefetch(words: &[u64]) {
+        for line in words.chunks(8) {
+            // SAFETY: `prefetcht0` is part of the x86-64 baseline (SSE)
+            // and is only a hint: it reads nothing into the program and
+            // never faults; the address is inside `words` anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) };
         }
     }
 
@@ -388,12 +407,13 @@ mod x86 {
     }
 
     #[target_feature(enable = "popcnt")]
-    fn score_block_popcnt_impl(
-        rows: &[u64],
+    fn score_tile_popcnt_impl(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
-        super::scalar::score_block(rows, probes, out)
+        super::scalar::score_tile(tile, lanes, probes, out)
     }
 
     pub(super) fn and_count_portable(a: &[u64], b: &[u64]) -> usize {
@@ -402,13 +422,14 @@ mod x86 {
         unsafe { and_count_popcnt_impl(a, b) }
     }
 
-    pub(super) fn score_block_portable(
-        rows: &[u64],
+    pub(super) fn score_tile_portable(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
         // SAFETY: as above — popcnt was detected at runtime.
-        unsafe { score_block_popcnt_impl(rows, probes, out) }
+        unsafe { score_tile_popcnt_impl(tile, lanes, probes, out) }
     }
 
     // ---- avx2: Muła nibble-LUT popcount over 256-bit lanes ----
@@ -416,7 +437,9 @@ mod x86 {
     // No popcount instruction exists at 256 bits, so each byte is split
     // into nibbles looked up in an in-register table (`vpshufb`), and the
     // byte counts are folded into u64 lanes with `vpsadbw` — the classic
-    // Muła/Kurz/Lemire harley-seal building block.
+    // Muła/Kurz/Lemire harley-seal building block. A tile word is two
+    // registers (rows 0–3 and rows 4–7), and `vpsadbw` folds each u64
+    // lane's own eight bytes, so every lane stays one row's counter.
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -469,92 +492,99 @@ mod x86 {
         total
     }
 
-    /// Loads words `w..w + 4` of `row`, the lanes at or past `to` as 0.
+    /// Counts of `probe[from..to]` against the same words of the tile's
+    /// eight rows, as u64 lanes: rows 0–3 and rows 4–7. Byte counts
+    /// accumulate for up to 31 words (8 per word stays under 256) before
+    /// one `vpsadbw` widens them.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn load4_avx2(row: &[u64], w: usize, to: usize) -> __m256i {
-        let live = _mm256_set1_epi64x(to.saturating_sub(w).min(4) as i64);
-        let mask = _mm256_cmpgt_epi64(live, _mm256_setr_epi64x(0, 1, 2, 3));
-        // SAFETY: every unmasked lane lies in w..to, and callers keep
-        // to <= row.len(); masked lanes are not accessed.
-        unsafe { _mm256_maskload_epi64(row.as_ptr().add(w.min(row.len())).cast::<i64>(), mask) }
-    }
-
-    /// One probe chunk against the same chunk of four rows, folded into
-    /// one register in a single combined reduction: each row's lane sums
-    /// go to one dword (rows 0 and 2 in the low dword of a lane, rows 1
-    /// and 3 in the high dword), so dword `j` of the result is row `j`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sums4_avx2(p: __m256i, rows: [__m256i; 4]) -> __m128i {
+    fn count8_avx2(tile: &[u64], probe: &[u64], from: usize, to: usize) -> [__m256i; 2] {
         let zero = _mm256_setzero_si256();
-        let count = |a: __m256i| _mm256_sad_epu8(popcnt_bytes_avx2(_mm256_and_si256(p, a)), zero);
-        let t01 = _mm256_or_si256(count(rows[0]), _mm256_slli_epi64::<32>(count(rows[1])));
-        let t23 = _mm256_or_si256(count(rows[2]), _mm256_slli_epi64::<32>(count(rows[3])));
-        let u = _mm256_add_epi64(
-            _mm256_unpacklo_epi64(t01, t23),
-            _mm256_unpackhi_epi64(t01, t23),
-        );
-        _mm_add_epi64(_mm256_castsi256_si128(u), _mm256_extracti128_si256::<1>(u))
-    }
-
-    /// Counts of `probe[from..to]` against the same words of the four
-    /// `stride`-word rows, as four dwords.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn count4_avx2(rows: &[u64], stride: usize, probe: &[u64], from: usize, to: usize) -> [u32; 4] {
-        let (r0, rest) = rows.split_at(stride);
-        let (r1, rest) = rest.split_at(stride);
-        let (r2, r3) = rest.split_at(stride);
-        let mut acc = _mm_setzero_si128();
+        let mut acc = [zero; 2];
         let mut w = from;
         while w < to {
-            let chunk = |row: &[u64]| load4_avx2(row, w, to);
-            let sums = sums4_avx2(chunk(probe), [chunk(r0), chunk(r1), chunk(r2), chunk(r3)]);
-            acc = _mm_add_epi32(acc, sums);
-            w += 4;
+            let run = to.min(w + 31);
+            let mut bytes = [zero; 2];
+            while w < run {
+                let q = _mm256_set1_epi64x(probe[w] as i64);
+                let at = w * TILE_ROWS;
+                // SAFETY: the caller checked tile.len() == 8 * probe.len(),
+                // and w < to <= probe.len(), so both 32-byte loads (tile
+                // words at..at + 8) are in bounds.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm256_loadu_si256(tile.as_ptr().add(at).cast()),
+                        _mm256_loadu_si256(tile.as_ptr().add(at + 4).cast()),
+                    )
+                };
+                bytes[0] = _mm256_add_epi8(bytes[0], popcnt_bytes_avx2(_mm256_and_si256(lo, q)));
+                bytes[1] = _mm256_add_epi8(bytes[1], popcnt_bytes_avx2(_mm256_and_si256(hi, q)));
+                w += 1;
+            }
+            acc[0] = _mm256_add_epi64(acc[0], _mm256_sad_epu8(bytes[0], zero));
+            acc[1] = _mm256_add_epi64(acc[1], _mm256_sad_epu8(bytes[1], zero));
         }
-        let mut counts = [0u32; 4];
-        add_counts(&mut counts, acc);
-        counts
+        acc
     }
 
-    /// The block scan. The prefix stage goes one 4-word chunk at a time:
-    /// the chunk of all four rows is loaded once and held in registers
-    /// while every probe is counted against it, and the prefix bound is
-    /// applied in-register on the last chunk. Probes with a surviving row
-    /// finish over the suffix in the shared second stage.
+    /// Bit `j` set iff u64 lane `j` of `counts` (rows 0–3, then 4–7)
+    /// reaches `floor` — a signed compare, exact since counts and the
+    /// floor fit in 33 bits.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    fn score_block_avx2_impl(
-        rows: &[u64],
+    fn reach_mask_avx2(counts: [__m256i; 2], floor: __m256i) -> u8 {
+        let below = |v: __m256i| {
+            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(floor, v))) as u8
+        };
+        !(below(counts[0]) | (below(counts[1]) << 4))
+    }
+
+    /// The tile scan: the prefix stage into two registers of per-row
+    /// counters, the prefix bound as one compare per register, and for a
+    /// probe with a surviving row the suffix, kept in the scored lanes
+    /// only.
+    #[target_feature(enable = "avx2")]
+    fn score_tile_avx2_impl(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
-        let stride = rows.len() / 4;
+        let stride = tile.len() / TILE_ROWS;
         let split = super::prefix_words(stride);
-        let mut w = 0usize;
-        loop {
-            let last = w + 4 >= split;
-            let chunk = |j: usize| load4_avx2(&rows[j * stride..(j + 1) * stride], w, split);
-            let block = [chunk(0), chunk(1), chunk(2), chunk(3)];
-            for (probe, hits) in probes.iter().zip(out.iter_mut()) {
-                let sums = sums4_avx2(load4_avx2(probe.words, w, split), block);
-                if w == 0 {
-                    hits.counts = [0; 4];
-                }
-                let prefix = add_counts(&mut hits.counts, sums);
-                if last {
-                    hits.scored = prefix_mask_sse(prefix, probe);
-                }
+        let bit = _mm256_setr_epi64x(1, 2, 4, 8);
+        // Dword order of `lo | hi << 32` is rows 0,4,1,5,2,6,3,7.
+        let unzip = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+        let mut totals = BlockTotals::default();
+        for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+            let mut counts = count8_avx2(tile, probe.words, 0, split);
+            let need = _mm256_set1_epi64x(i64::from(probe.prefix_need));
+            let scored = reach_mask_avx2(counts, need) & lanes;
+            if scored == 0 {
+                *hits = BlockHits::default();
+                continue;
             }
-            if last {
-                break;
+            let suffix = count8_avx2(tile, probe.words, split, stride);
+            for (half, (count, extra)) in counts.iter_mut().zip(suffix).enumerate() {
+                // Rejected rows and padding read 0.
+                let sel = _mm256_set1_epi64x(i64::from(scored >> (4 * half)));
+                let keep = _mm256_cmpeq_epi64(_mm256_and_si256(sel, bit), bit);
+                *count = _mm256_and_si256(_mm256_add_epi64(*count, extra), keep);
             }
-            w += 4;
+            let cmin = _mm256_set1_epi64x(i64::from(probe.cmin));
+            let admitted = reach_mask_avx2(counts, cmin) & scored;
+            let packed = _mm256_permutevar8x32_epi32(
+                _mm256_or_si256(counts[0], _mm256_slli_epi64::<32>(counts[1])),
+                unzip,
+            );
+            // SAFETY: `counts` is 32 writable bytes; storeu has no
+            // alignment requirement.
+            unsafe { _mm256_storeu_si256(hits.counts.as_mut_ptr().cast(), packed) };
+            hits.scored = scored;
+            hits.admitted = admitted;
+            totals.add(hits);
         }
-        super::finish_block(probes, out, |probe| {
-            count4_avx2(rows, stride, probe, split, stride)
-        })
+        totals
     }
 
     pub(super) fn and_count_avx2(a: &[u64], b: &[u64]) -> usize {
@@ -563,13 +593,14 @@ mod x86 {
         unsafe { and_count_avx2_impl(a, b) }
     }
 
-    pub(super) fn score_block_avx2(
-        rows: &[u64],
+    pub(super) fn score_tile_avx2(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
         // SAFETY: as above — avx2 was detected at runtime.
-        unsafe { score_block_avx2_impl(rows, probes, out) }
+        unsafe { score_tile_avx2_impl(tile, lanes, probes, out) }
     }
 
     // ---- avx512: native 64-bit-lane popcount (VPOPCNTDQ) ----
@@ -598,95 +629,76 @@ mod x86 {
         total
     }
 
-    /// Loads words `w..w + 8` of `row`, the lanes at or past `to` as 0.
+    /// Adds the counts of `probe[from..to]` against the same words of
+    /// the tile's eight rows to `acc`, one u64 lane per row: per word
+    /// one load, one AND with the broadcast probe word, one `vpopcntq`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn load8_avx512(row: &[u64], w: usize, to: usize) -> __m512i {
-        let live = to.saturating_sub(w);
-        let mask: __mmask8 = if live >= 8 { 0xFF } else { (1u8 << live) - 1 };
-        // SAFETY: every unmasked lane lies in w..to, and callers keep
-        // to <= row.len(); masked lanes are not accessed.
-        unsafe { _mm512_maskz_loadu_epi64(mask, row.as_ptr().add(w.min(row.len())).cast()) }
-    }
-
-    /// One probe chunk against the same chunk of four rows, folded into
-    /// one register in a single combined reduction, as in the avx2 path.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn sums4_avx512(p: __m512i, rows: [__m512i; 4]) -> __m128i {
-        let count = |a: __m512i| _mm512_popcnt_epi64(_mm512_and_si512(p, a));
-        let t01 = _mm512_or_si512(count(rows[0]), _mm512_slli_epi64::<32>(count(rows[1])));
-        let t23 = _mm512_or_si512(count(rows[2]), _mm512_slli_epi64::<32>(count(rows[3])));
-        let u = _mm512_add_epi64(
-            _mm512_unpacklo_epi64(t01, t23),
-            _mm512_unpackhi_epi64(t01, t23),
-        );
-        let v = _mm256_add_epi64(_mm512_castsi512_si256(u), _mm512_extracti64x4_epi64::<1>(u));
-        _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v))
-    }
-
-    /// Counts of `probe[from..to]` against the same words of the four
-    /// `stride`-word rows, as four dwords.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn count4_avx512(
-        rows: &[u64],
-        stride: usize,
+    fn count8_avx512(
+        mut acc: __m512i,
+        tile: &[u64],
         probe: &[u64],
         from: usize,
         to: usize,
-    ) -> [u32; 4] {
-        let (r0, rest) = rows.split_at(stride);
-        let (r1, rest) = rest.split_at(stride);
-        let (r2, r3) = rest.split_at(stride);
-        let mut acc = _mm_setzero_si128();
+    ) -> __m512i {
+        // Plain index loops throughout these `target_feature` bodies: an
+        // iterator adapter that fails to inline costs a call (and a
+        // `vzeroupper`) per word.
+        let probe = &probe[..to];
         let mut w = from;
         while w < to {
-            let chunk = |row: &[u64]| load8_avx512(row, w, to);
-            let sums = sums4_avx512(chunk(probe), [chunk(r0), chunk(r1), chunk(r2), chunk(r3)]);
-            acc = _mm_add_epi32(acc, sums);
-            w += 8;
+            // SAFETY: the caller checked tile.len() == 8 * probe.len(),
+            // and w < to <= probe.len(), so tile words 8w..8w + 8 are in
+            // bounds.
+            let rows = unsafe { _mm512_loadu_si512(tile.as_ptr().add(w * TILE_ROWS).cast()) };
+            let hit = _mm512_and_si512(rows, _mm512_set1_epi64(probe[w] as i64));
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(hit));
+            w += 1;
         }
-        let mut counts = [0u32; 4];
-        add_counts(&mut counts, acc);
-        counts
+        acc
     }
 
-    /// The block scan, as in the avx2 path with 8-word chunks: the rows'
-    /// prefix chunk stays in registers across all probes, and each probe
-    /// costs one combined reduction per chunk (a single chunk for rows
-    /// of up to 16 words).
+    /// The tile scan with all eight per-row counters in one register:
+    /// the prefix bound is one masked compare against the probe's
+    /// prefix need, and the suffix continues the same counters.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn score_block_avx512_impl(
-        rows: &[u64],
+    fn score_tile_avx512_impl(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
-        let stride = rows.len() / 4;
+        let stride = tile.len() / TILE_ROWS;
         let split = super::prefix_words(stride);
-        let mut w = 0usize;
-        loop {
-            let last = w + 8 >= split;
-            let chunk = |j: usize| load8_avx512(&rows[j * stride..(j + 1) * stride], w, split);
-            let block = [chunk(0), chunk(1), chunk(2), chunk(3)];
-            for (probe, hits) in probes.iter().zip(out.iter_mut()) {
-                let sums = sums4_avx512(load8_avx512(probe.words, w, split), block);
-                if w == 0 {
-                    hits.counts = [0; 4];
-                }
-                let prefix = add_counts(&mut hits.counts, sums);
-                if last {
-                    hits.scored = prefix_mask_sse(prefix, probe);
-                }
+        let zero = _mm512_setzero_si512();
+        let mut totals = BlockTotals::default();
+        for (probe, hits) in probes.iter().zip(out.iter_mut()) {
+            let prefix = count8_avx512(zero, tile, probe.words, 0, split);
+            let need = _mm512_set1_epi64(i64::from(probe.prefix_need));
+            let scored = _mm512_mask_cmpge_epu64_mask(lanes, prefix, need);
+            if scored == 0 {
+                *hits = BlockHits::default();
+                continue;
             }
-            if last {
-                break;
-            }
-            w += 8;
+            // The suffix continues the prefix sum; lanes outside `scored`
+            // are zeroed.
+            let full = count8_avx512(prefix, tile, probe.words, split, stride);
+            let counts = _mm512_maskz_mov_epi64(scored, full);
+            let cmin = _mm512_set1_epi64(i64::from(probe.cmin));
+            let admitted = _mm512_mask_cmpge_epu64_mask(scored, counts, cmin);
+            // SAFETY: `counts` is 32 writable bytes; storeu has no
+            // alignment requirement.
+            unsafe {
+                _mm256_storeu_si256(
+                    hits.counts.as_mut_ptr().cast(),
+                    _mm512_cvtepi64_epi32(counts),
+                )
+            };
+            hits.scored = scored;
+            hits.admitted = admitted;
+            totals.add(hits);
         }
-        super::finish_block(probes, out, |probe| {
-            count4_avx512(rows, stride, probe, split, stride)
-        })
+        totals
     }
 
     pub(super) fn and_count_avx512(a: &[u64], b: &[u64]) -> usize {
@@ -695,13 +707,14 @@ mod x86 {
         unsafe { and_count_avx512_impl(a, b) }
     }
 
-    pub(super) fn score_block_avx512(
-        rows: &[u64],
+    pub(super) fn score_tile_avx512(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
         // SAFETY: as above — avx512f + avx512vpopcntdq were detected.
-        unsafe { score_block_avx512_impl(rows, probes, out) }
+        unsafe { score_tile_avx512_impl(tile, lanes, probes, out) }
     }
 }
 
@@ -713,8 +726,16 @@ mod x86 {
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
 mod arm {
-    use super::{BlockHits, BlockProbe, BlockTotals};
+    use super::{BlockHits, BlockProbe, BlockTotals, TILE_ROWS};
     use core::arch::aarch64::*;
+
+    /// Popcount of each u64 lane of `v`: bytes, then three widening
+    /// pairwise adds that stay inside the lane.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    fn popcnt_lanes(v: uint64x2_t) -> uint64x2_t {
+        vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(vreinterpretq_u8_u64(v)))))
+    }
 
     #[target_feature(enable = "neon")]
     fn and_count_neon_impl(a: &[u64], b: &[u64]) -> usize {
@@ -728,8 +749,7 @@ mod arm {
                 let vb = vld1q_u64(b.as_ptr().add(i));
                 vandq_u64(va, vb)
             };
-            let cnt = vcntq_u8(vreinterpretq_u8_u64(v));
-            acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
+            acc = vaddq_u64(acc, popcnt_lanes(v));
             i += 2;
         }
         let mut total = (vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1)) as usize;
@@ -740,66 +760,45 @@ mod arm {
         total
     }
 
-    /// Counts of `probe[from..to]` against the same words of the four
-    /// `stride`-word rows, with one combined reduction: two pairwise adds
-    /// fold the four row accumulators into `[row0, row1]` and
-    /// `[row2, row3]`.
+    /// Counts of `probe[from..to]` against the same words of the tile's
+    /// eight rows: a tile word is four registers of two rows each, every
+    /// u64 lane one row's counter.
     #[inline]
     #[target_feature(enable = "neon")]
-    fn count4_neon(rows: &[u64], stride: usize, probe: &[u64], from: usize, to: usize) -> [u32; 4] {
-        let (r0, rest) = rows.split_at(stride);
-        let (r1, rest) = rest.split_at(stride);
-        let (r2, r3) = rest.split_at(stride);
+    fn count8_neon(tile: &[u64], probe: &[u64], from: usize, to: usize) -> [u32; TILE_ROWS] {
         let mut acc = [vdupq_n_u64(0); 4];
-        let mut i = from;
-        while i + 2 <= to {
-            // SAFETY: i + 2 <= to <= stride keeps all five 16-byte loads
-            // in bounds of their stride-length slices.
-            unsafe {
-                let q = vld1q_u64(probe.as_ptr().add(i));
-                for (lane, r) in [r0, r1, r2, r3].into_iter().enumerate() {
-                    let v = vandq_u64(q, vld1q_u64(r.as_ptr().add(i)));
-                    let cnt = vcntq_u8(vreinterpretq_u8_u64(v));
-                    acc[lane] = vaddq_u64(acc[lane], vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-                }
+        let probe = &probe[..to];
+        let mut w = from;
+        while w < to {
+            let q = vdupq_n_u64(probe[w]);
+            let mut pair = 0;
+            while pair < 4 {
+                // SAFETY: the caller checked tile.len() == 8 * probe.len(),
+                // and w < to <= probe.len(), so tile words 8w + 2·pair ..
+                // + 2 are in bounds.
+                let rows = unsafe { vld1q_u64(tile.as_ptr().add(w * TILE_ROWS + 2 * pair)) };
+                acc[pair] = vaddq_u64(acc[pair], popcnt_lanes(vandq_u64(q, rows)));
+                pair += 1;
             }
-            i += 2;
+            w += 1;
         }
-        let s01 = vpaddq_u64(acc[0], acc[1]);
-        let s23 = vpaddq_u64(acc[2], acc[3]);
-        let mut out = [
-            vgetq_lane_u64(s01, 0) as u32,
-            vgetq_lane_u64(s01, 1) as u32,
-            vgetq_lane_u64(s23, 0) as u32,
-            vgetq_lane_u64(s23, 1) as u32,
-        ];
-        while i < to {
-            let q = probe[i];
-            out[0] += (q & r0[i]).count_ones();
-            out[1] += (q & r1[i]).count_ones();
-            out[2] += (q & r2[i]).count_ones();
-            out[3] += (q & r3[i]).count_ones();
-            i += 1;
+        let mut counts = [0u32; TILE_ROWS];
+        for (pair, lane) in acc.iter().enumerate() {
+            counts[2 * pair] = vgetq_lane_u64(*lane, 0) as u32;
+            counts[2 * pair + 1] = vgetq_lane_u64(*lane, 1) as u32;
         }
-        out
+        counts
     }
 
-    /// The block scan probe by probe (a 2-word chunk is too narrow to be
-    /// worth holding across probes), then the shared second stage.
     #[target_feature(enable = "neon")]
-    fn score_block_neon_impl(
-        rows: &[u64],
+    fn score_tile_neon_impl(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
-        let stride = rows.len() / 4;
-        let split = super::prefix_words(stride);
-        for (probe, hits) in probes.iter().zip(out.iter_mut()) {
-            hits.counts = count4_neon(rows, stride, probe.words, 0, split);
-            hits.scored = super::prefix_mask(hits.counts, probe);
-        }
-        super::finish_block(probes, out, |probe| {
-            count4_neon(rows, stride, probe, split, stride)
+        super::score_tile_with(tile, lanes, probes, out, |probe, from, to| {
+            count8_neon(tile, probe, from, to)
         })
     }
 
@@ -809,13 +808,14 @@ mod arm {
         unsafe { and_count_neon_impl(a, b) }
     }
 
-    pub(super) fn score_block_neon(
-        rows: &[u64],
+    pub(super) fn score_tile_neon(
+        tile: &[u64],
+        lanes: u8,
         probes: &[BlockProbe<'_>],
         out: &mut [BlockHits],
     ) -> BlockTotals {
         // SAFETY: as above — neon was detected at runtime.
-        unsafe { score_block_neon_impl(rows, probes, out) }
+        unsafe { score_tile_neon_impl(tile, lanes, probes, out) }
     }
 }
 
@@ -826,7 +826,7 @@ mod arm {
 const SCALAR: Kernel = Kernel {
     name: "scalar",
     and_count: scalar::and_count,
-    score_block: scalar::score_block,
+    score_tile: scalar::score_tile,
 };
 
 /// Detect what this CPU supports, worst path first / best path last.
@@ -839,14 +839,14 @@ fn detect_kernels() -> Vec<Kernel> {
             v.push(Kernel {
                 name: "portable",
                 and_count: x86::and_count_portable,
-                score_block: x86::score_block_portable,
+                score_tile: x86::score_tile_portable,
             });
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             v.push(Kernel {
                 name: "avx2",
                 and_count: x86::and_count_avx2,
-                score_block: x86::score_block_avx2,
+                score_tile: x86::score_tile_avx2,
             });
         }
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -855,7 +855,7 @@ fn detect_kernels() -> Vec<Kernel> {
             v.push(Kernel {
                 name: "avx512",
                 and_count: x86::and_count_avx512,
-                score_block: x86::score_block_avx512,
+                score_tile: x86::score_tile_avx512,
             });
         }
     }
@@ -865,7 +865,7 @@ fn detect_kernels() -> Vec<Kernel> {
             v.push(Kernel {
                 name: "neon",
                 and_count: arm::and_count_neon,
-                score_block: arm::score_block_neon,
+                score_tile: arm::score_tile_neon,
             });
         }
     }
@@ -1009,28 +1009,43 @@ mod tests {
         }
     }
 
-    /// Full counts of one probe against a 4-row block, through
-    /// `kernel.score_block` with `cmin = 0` (every row admitted).
-    fn block_counts(kernel: &Kernel, query: &BitVec, flat: &[u64]) -> Vec<usize> {
+    /// Full counts of one probe against the rows of a tile, through
+    /// `kernel.score_tile` with `cmin = 0` (every row admitted).
+    fn tile_counts(kernel: &Kernel, query: &BitVec, rows: &[BitVec]) -> Vec<usize> {
+        let stride = query.as_words().len();
+        let mut tile = vec![0u64; TILE_ROWS * stride];
+        for (j, row) in rows.iter().enumerate() {
+            for (w, &word) in row.as_words().iter().enumerate() {
+                tile[w * TILE_ROWS + j] = word;
+            }
+        }
         let mut out = [BlockHits::default()];
-        kernel.score_block(flat, &[BlockProbe::new(query.as_words(), 0)], &mut out);
-        assert_eq!((out[0].scored, out[0].admitted), (0xF, 0xF));
-        out[0].counts.iter().map(|&c| c as usize).collect()
+        let totals = kernel.score_tile(
+            &tile,
+            rows.len(),
+            &[BlockProbe::new(query.as_words(), 0)],
+            &mut out,
+        );
+        let lanes = ((1u16 << rows.len()) - 1) as u8;
+        assert_eq!((out[0].scored, out[0].admitted), (lanes, lanes));
+        assert_eq!(totals.scored as usize, rows.len());
+        out[0].counts[..rows.len()]
+            .iter()
+            .map(|&c| c as usize)
+            .collect()
     }
 
     #[test]
-    fn score_block_at_zero_admission_matches_four_scalar_calls() {
+    fn score_tile_at_zero_admission_matches_per_row_calls() {
         let mut rng = SplitMix64::new(0xB10C);
         for len in [64usize, 100, 1000] {
-            let q = random_filter(len, 3, &mut rng);
-            let rows: Vec<BitVec> = (0..4).map(|_| random_filter(len, 3, &mut rng)).collect();
-            let mut flat = Vec::new();
-            for r in &rows {
-                flat.extend_from_slice(r.as_words());
-            }
-            let got = block_counts(&active_kernel(), &q, &flat);
-            for (i, r) in rows.iter().enumerate() {
-                assert_eq!(got[i], q.and_count(r), "len={len} row={i}");
+            for n in [1usize, 5, 8] {
+                let q = random_filter(len, 3, &mut rng);
+                let rows: Vec<BitVec> = (0..n).map(|_| random_filter(len, 3, &mut rng)).collect();
+                let got = tile_counts(&active_kernel(), &q, &rows);
+                for (i, r) in rows.iter().enumerate() {
+                    assert_eq!(got[i], q.and_count(r), "len={len} rows={n} row={i}");
+                }
             }
         }
     }
@@ -1047,15 +1062,11 @@ mod tests {
             for denom in [1u64, 2, 7] {
                 let a = random_filter(len, denom, &mut rng);
                 let b = random_filter(len, denom, &mut rng);
-                let rows: Vec<BitVec> = (0..4)
+                let rows: Vec<BitVec> = (0..TILE_ROWS)
                     .map(|_| random_filter(len, denom, &mut rng))
                     .collect();
-                let mut flat = Vec::new();
-                for r in &rows {
-                    flat.extend_from_slice(r.as_words());
-                }
                 let want1 = a.and_count(&b);
-                let want4: Vec<usize> = rows.iter().map(|r| a.and_count(r)).collect();
+                let want8: Vec<usize> = rows.iter().map(|r| a.and_count(r)).collect();
                 for k in available_kernels() {
                     assert_eq!(
                         k.and_count(a.as_words(), b.as_words()),
@@ -1064,8 +1075,8 @@ mod tests {
                         k.name()
                     );
                     assert_eq!(
-                        block_counts(k, &a, &flat),
-                        want4,
+                        tile_counts(k, &a, &rows),
+                        want8,
                         "kernel={} len={len} denom={denom}",
                         k.name()
                     );
@@ -1098,12 +1109,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "score_block")]
+    #[should_panic(expected = "score_tile")]
     fn mismatched_stride_panics_in_release_too() {
         let q = [0u64; 4];
-        let rows = [0u64; 12]; // 4 rows of 3 words, not of 4
+        let tile = [0u64; 24]; // 8 rows of 3 words, not of 4
         let mut out = [BlockHits::default()];
-        active_kernel().score_block(&rows, &[BlockProbe::new(&q, 0)], &mut out);
+        active_kernel().score_tile(&tile, TILE_ROWS, &[BlockProbe::new(&q, 0)], &mut out);
     }
 
     #[test]
